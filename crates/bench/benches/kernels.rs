@@ -16,6 +16,17 @@ fn bench_kernels(c: &mut Criterion) {
     let n = 100_000;
     let xs = data(n);
     let ys: Vec<f64> = xs.iter().map(|v| v * 1.7 + 3.0).collect();
+    // Independent of `xs`, 8% null: the shape of a real report column,
+    // where Kendall sees ~n²/4 inversions and must skip null rows.
+    let shuffled: Vec<f64> = (0..n)
+        .map(|i| {
+            if (i * 7919) % 100 < 8 {
+                f64::NAN
+            } else {
+                ((i * 40503 + 12345) % 100_003) as f64 / 13.0
+            }
+        })
+        .collect();
     let cats: Vec<Option<String>> = (0..n).map(|i| Some(format!("c{}", i % 50))).collect();
 
     c.bench_function("moments_100k", |b| {
@@ -42,6 +53,9 @@ fn bench_kernels(c: &mut Criterion) {
     });
     c.bench_function("kendall_100k", |b| {
         b.iter(|| kendall_tau(black_box(&xs), black_box(&ys)))
+    });
+    c.bench_function("kendall_100k_shuffled_nulls", |b| {
+        b.iter(|| kendall_tau(black_box(&xs), black_box(&shuffled)))
     });
 }
 

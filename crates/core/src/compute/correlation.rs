@@ -7,30 +7,39 @@
 //! * `plot_correlation(df, x, y)` → scatter plot with a regression line.
 //!
 //! This module is the paper's worked example of the two-phase boundary
-//! (§5.2). The heavy work — column gathers, per-column preparation
-//! (ranks + Kendall sort state), and one matrix-fill task per method —
-//! runs inside the graph, where it parallelizes across columns and is
-//! served by the cross-call result cache on repeat calls; only the cheap
-//! insight filtering stays eager. The `engine.eager_finish = false`
-//! ablation pushes even the per-pair coefficient computations into the
-//! graph as individual tasks, demonstrating why `n >> m` makes that
+//! (§5.2). The heavy work runs inside the graph, where it is served by
+//! the cross-call result cache on repeat calls:
+//!
+//! * one `corr_prep:<column>` task per column sorts it once into its
+//!   value order, dense integer ranks and mid-ranks
+//!   ([`ColumnRanks`]), shared by every pair the column is in;
+//! * one `corr_matrix:<method>` task per method fills its matrix from
+//!   those preps. Its upper-triangle pairs are the morsel index space of
+//!   [`morsel::run_rows`], so idle workers steal pairs; Kendall's tau
+//!   is Knight's algorithm over the integer ranks with a Fenwick
+//!   counter, for columns with and without nulls alike.
+//!
+//! Only the cheap insight filtering stays eager. The
+//! `engine.eager_finish = false` ablation pushes even the per-pair
+//! coefficient computations into the graph as individual tasks, sharing
+//! the same per-pair `cell`, demonstrating why `n >> m` makes that
 //! granularity pure scheduler overhead.
 
-use eda_stats::corr::{
-    kendall_prep, kendall_tau, kendall_tau_prepped, pearson, spearman_from_ranks, CorrMatrix,
-    CorrMethod, KendallPrep,
-};
-use eda_stats::rank::ranks;
+use std::ops::Range;
+use std::sync::Arc;
+
+use eda_stats::corr::{kendall_tau_ranked, pearson, spearman_from_ranks, CorrMatrix, CorrMethod};
+use eda_stats::rank::ColumnRanks;
 use eda_stats::regression::LinearFit;
 use eda_taskgraph::key::TaskKey;
-use eda_taskgraph::NodeId;
+use eda_taskgraph::{morsel, NodeId};
 
 use crate::dtype::{detect, SemanticType};
 use crate::error::{EdaError, EdaResult};
 use crate::insights::{correlation_insight, Insight};
 use crate::intermediate::{Inter, Intermediates};
 
-use super::ctx::{pl, un, ComputeContext};
+use super::ctx::{pl, un, un_arc, ComputeContext};
 use super::kernels;
 
 /// Numeric columns of the frame, in order.
@@ -75,25 +84,21 @@ pub fn compute_correlation_overview(
 
 /// Per-column state shared across every pair the column participates in —
 /// the correlation-matrix instance of the paper's computation sharing.
-/// Ranks back Spearman (pandas rank-once semantics); the Kendall prep
-/// (sort permutation + tie counts) exists only for NaN-free columns, with
-/// a per-pair fallback otherwise.
+/// One sort yields the column's value order, its dense integer ranks
+/// (Kendall) and its mid-ranks (Spearman, pandas rank-once semantics).
 #[derive(Debug, Clone)]
 pub struct ColumnPrep {
-    /// Raw values, NaN at nulls.
-    pub values: Vec<f64>,
-    /// Mid-ranks over the non-NaN values (NaN kept at null positions).
-    pub ranks: Vec<f64>,
-    /// Shared Kendall state (NaN-free columns only).
-    pub kendall: Option<KendallPrep>,
+    /// Raw values, NaN at nulls (shared with the column's gather).
+    pub values: Arc<Vec<f64>>,
+    /// Value order, dense ranks and mid-ranks of the non-null values.
+    pub ranks: ColumnRanks,
 }
 
 impl ColumnPrep {
     /// Build the shared state for one gathered column.
-    pub fn prepare(values: Vec<f64>) -> ColumnPrep {
-        let ranks = ranks(&values);
-        let kendall = kendall_prep(&values);
-        ColumnPrep { values, ranks, kendall }
+    pub fn prepare(values: Arc<Vec<f64>>) -> ColumnPrep {
+        let ranks = ColumnRanks::new(&values);
+        ColumnPrep { values, ranks }
     }
 }
 
@@ -101,34 +106,72 @@ impl ColumnPrep {
 fn cell(method: CorrMethod, a: &ColumnPrep, b: &ColumnPrep) -> Option<f64> {
     match method {
         CorrMethod::Pearson => pearson(&a.values, &b.values),
-        CorrMethod::Spearman => spearman_from_ranks(&a.ranks, &b.ranks),
-        CorrMethod::KendallTau => match (&a.kendall, &b.kendall) {
-            (Some(ka), Some(kb)) => {
-                kendall_tau_prepped(&a.values, &b.values, ka, kb.tie_pairs)
-            }
-            _ => kendall_tau(&a.values, &b.values),
-        },
+        CorrMethod::Spearman => spearman_from_ranks(&a.ranks.mid, &b.ranks.mid),
+        CorrMethod::KendallTau => kendall_tau_ranked(&a.ranks, &b.ranks),
     }
 }
 
-/// Plan one shared `corr_prep` node for a column: the gathered values
-/// fed through [`ColumnPrep::prepare`]. Shared (CSE) between the matrix
-/// path and the per-pair ablation path.
+/// Bytes one pair touches per row, the morsel size unit of a matrix
+/// fill: x's order and dense rank plus y's dense rank, `u32` each.
+const PAIR_ROW_BYTES: usize = 12;
+
+/// Short method tag for task names (`corr_matrix:kendall`).
+fn method_tag(method: CorrMethod) -> &'static str {
+    match method {
+        CorrMethod::Pearson => "pearson",
+        CorrMethod::Spearman => "spearman",
+        CorrMethod::KendallTau => "kendall",
+    }
+}
+
+/// Fill one `m×m` matrix from prepared columns. The upper-triangle pairs
+/// are the morsel index space: idle pool workers join as helpers and
+/// steal pairs, and the per-pair results fold back in pair order, so the
+/// matrix does not depend on who computed which pair.
+fn fill_matrix(method: CorrMethod, labels: Vec<String>, preps: &[&ColumnPrep]) -> CorrMatrix {
+    let m = preps.len();
+    let pairs: Vec<(usize, usize)> =
+        (0..m).flat_map(|i| (i + 1..m).map(move |j| (i, j))).collect();
+    let rows = preps.first().map_or(0, |p| p.values.len());
+    let compute = |range: Range<usize>| -> Vec<Option<f64>> {
+        pairs[range].iter().map(|&(i, j)| cell(method, preps[i], preps[j])).collect()
+    };
+    let values = morsel::run_rows(pairs.len(), rows * PAIR_ROW_BYTES, compute, |mut a, b| {
+        a.extend(b);
+        a
+    })
+    .unwrap_or_else(|| compute(0..pairs.len()));
+    // A cancelled fill may come back short; the scheduler discards it.
+    let mut cells = vec![None; m * m];
+    for i in 0..m {
+        cells[i * m + i] = Some(1.0);
+    }
+    for (&(i, j), r) in pairs.iter().zip(values) {
+        cells[i * m + j] = r;
+        cells[j * m + i] = r;
+    }
+    CorrMatrix { labels, method, cells }
+}
+
+/// Plan one shared `corr_prep:<column>` node for a column: the gathered
+/// values fed through [`ColumnPrep::prepare`]. Shared (CSE) between the
+/// matrix path and the per-pair ablation path.
 pub fn plan_corr_prep(ctx: &mut ComputeContext<'_>, name: &str) -> NodeId {
     let gather = kernels::numeric_gather(ctx, name);
     let params = ctx.params(TaskKey::params(&format!("corrprep:{name}")));
-    ctx.graph.op("corr_prep", params, vec![gather], |inputs| {
-        pl(ColumnPrep::prepare(un::<Vec<f64>>(&inputs[0]).clone()))
+    ctx.graph.op(&format!("corr_prep:{name}"), params, vec![gather], |inputs| {
+        pl(ColumnPrep::prepare(un_arc::<Vec<f64>>(&inputs[0])))
     })
 }
 
 /// Plan the three correlation matrices as graph tasks: per-column prep
-/// nodes feed one node per method that fills its whole `m×m` matrix.
-/// The heavy O(n log n) per-column preparation and the per-pair
-/// coefficients run *inside* the graph — parallel across columns, and
-/// served by the cross-call result cache on repeat calls — while the
-/// cheap insight filtering stays eager. Returns one node per
-/// [`CorrMethod::ALL`] entry, each with a [`CorrMatrix`] payload.
+/// nodes feed one `corr_matrix:<method>` node per method, which fills its
+/// `m×m` matrix pair-parallel through the morsel engine. The heavy
+/// O(n log n) per-column preparation and the per-pair coefficients run
+/// *inside* the graph — parallel across columns and pairs, and served by
+/// the cross-call result cache on repeat calls — while the cheap insight
+/// filtering stays eager. Returns one node per [`CorrMethod::ALL`]
+/// entry, each with a [`CorrMatrix`] payload.
 pub fn plan_matrix_nodes(ctx: &mut ComputeContext<'_>, names: &[String]) -> Vec<NodeId> {
     let preps: Vec<NodeId> = names.iter().map(|n| plan_corr_prep(ctx, n)).collect();
     CorrMethod::ALL
@@ -137,20 +180,10 @@ pub fn plan_matrix_nodes(ctx: &mut ComputeContext<'_>, names: &[String]) -> Vec<
             let labels = names.to_vec();
             let params =
                 ctx.params(TaskKey::params(&format!("corrmatrix:{}", method.name())));
-            ctx.graph.op("corr_matrix", params, preps.clone(), move |inputs| {
-                let preps: Vec<&ColumnPrep> =
-                    inputs.iter().map(un::<ColumnPrep>).collect();
-                let m = preps.len();
-                let mut cells = vec![None; m * m];
-                for i in 0..m {
-                    cells[i * m + i] = Some(1.0);
-                    for j in (i + 1)..m {
-                        let r = cell(method, preps[i], preps[j]);
-                        cells[i * m + j] = r;
-                        cells[j * m + i] = r;
-                    }
-                }
-                pl(CorrMatrix { labels: labels.clone(), method, cells })
+            let name = format!("corr_matrix:{}", method_tag(method));
+            ctx.graph.op(&name, params, preps.clone(), move |inputs| {
+                let preps: Vec<&ColumnPrep> = inputs.iter().map(un::<ColumnPrep>).collect();
+                pl(fill_matrix(method, labels.clone(), &preps))
             })
         })
         .collect()
@@ -432,8 +465,8 @@ mod tests {
                         _ => assert_eq!(x, y),
                     }
                     // Pearson and Kendall also match the per-pair
-                    // reference exactly (the Kendall prep path is exact;
-                    // NaN columns fall back to per-pair). Spearman uses
+                    // reference exactly (both rank columns with nulls
+                    // and skip null rows per pair). Spearman uses
                     // pandas rank-once semantics, which only coincides
                     // with the SciPy per-pair reference when neither
                     // column has nulls — column "c" has nulls, so those

@@ -75,8 +75,9 @@ fn payload_sizer() -> PayloadSizer {
     use eda_stats::corr::CorrMatrix;
     Arc::new(|p: &Payload| {
         if let Some(prep) = p.downcast_ref::<ColumnPrep>() {
-            let kendall = prep.kendall.as_ref().map_or(0, |k| k.perm.len() * 4 + 8);
-            return Some((prep.values.len() + prep.ranks.len()) * 8 + kendall);
+            // The values are shared with (and billed to) the gather payload.
+            let r = &prep.ranks;
+            return Some(r.mid.len() * 8 + (r.order.len() + r.dense.len()) * 4 + 16);
         }
         if let Some(m) = p.downcast_ref::<CorrMatrix>() {
             let labels: usize = m.labels.iter().map(|l| l.len() + 24).sum();
@@ -319,6 +320,15 @@ pub fn pl<T: Send + Sync + 'static>(value: T) -> Payload {
 pub fn un<T: Send + Sync + 'static>(p: &Payload) -> &T {
     p.downcast_ref::<T>()
         .unwrap_or_else(|| panic!("payload type mismatch: expected {}", std::any::type_name::<T>()))
+}
+
+/// Share a typed value out of a payload without copying it.
+///
+/// Panics on type mismatch, like [`un`].
+pub fn un_arc<T: Send + Sync + 'static>(p: &Payload) -> Arc<T> {
+    Arc::clone(p)
+        .downcast::<T>()
+        .unwrap_or_else(|_| panic!("payload type mismatch: expected {}", std::any::type_name::<T>()))
 }
 
 #[cfg(test)]

@@ -1,93 +1,87 @@
-//! Kendall's tau-b via Knight's O(n log n) algorithm.
+//! Kendall's tau-b via Knight's O(n log n) algorithm over integer ranks.
 //!
 //! The naive tau is O(n²) in pair comparisons — too slow for the row counts
-//! in the paper's Table 2. Knight (1966) counts discordant pairs as merge
-//! sort inversions after sorting by one coordinate, and corrects for ties:
+//! in the paper's Table 2. Knight (1966) orders the pairs by one coordinate
+//! and counts discordant pairs as inversions of the other, correcting for
+//! ties:
 //!
 //! `tau_b = (n0 - n1 - n2 + n3 - 2·D) / sqrt((n0 - n1)(n0 - n2))`
 //!
 //! with `n0 = n(n-1)/2`, `n1`/`n2` tie pair counts in x/y, `n3` joint-tie
 //! pairs, `D` discordant pairs — the same formulation SciPy uses.
+//!
+//! Every column is sorted once into a [`ColumnRanks`] (value order plus
+//! dense `u32` ranks); a pair then needs no float comparison at all. It
+//! walks x's value order, skipping rows where y is null (pairwise-complete
+//! observations), sorts y's ranks inside each x-tie group, and counts
+//! inversions with a Fenwick tree over y's distinct ranks. The Fenwick
+//! counter is used rather than an inversion-counting merge sort over the
+//! ranks because the merge's compare branch mispredicts on unordered
+//! input.
 
 use super::complete_pairs;
+use crate::interrupt::{interrupted, CHECK_INTERVAL};
+use crate::rank::{ColumnRanks, NULL_RANK};
 
 /// Kendall's tau-b over pairwise-complete observations.
 ///
-/// Returns `None` when fewer than 2 complete pairs remain or either side is
-/// entirely tied.
+/// Returns `None` when fewer than 2 complete pairs remain, either side is
+/// entirely tied, or the slices differ in length.
 pub fn kendall_tau(x: &[f64], y: &[f64]) -> Option<f64> {
-    let (xs, ys) = complete_pairs(x, y);
-    let n = xs.len();
+    kendall_tau_ranked(&ColumnRanks::new(x), &ColumnRanks::new(y))
+}
+
+/// Kendall's tau-b from two columns' shared rank state, over the rows
+/// where both are non-null. Equal to [`kendall_tau`] on the columns the
+/// ranks were built from.
+pub fn kendall_tau_ranked(x: &ColumnRanks, y: &ColumnRanks) -> Option<f64> {
+    if x.dense.len() != y.dense.len() {
+        return None;
+    }
+    let rank_at = |ranks: &ColumnRanks, row: u32| {
+        ranks.dense.get(row as usize).copied().unwrap_or(NULL_RANK)
+    };
+    let distinct = y.distinct as usize;
+    let mut tree = Fenwick::new(distinct);
+    let mut y_counts = vec![0u32; distinct];
+    let mut group: Vec<u32> = Vec::new();
+    let (mut n, mut n1, mut n3, mut discordant) = (0u64, 0u64, 0u64, 0u64);
+    let mut walked = 0usize;
+    let mut next_poll = 0usize;
+    for x_ties in x.order.chunk_by(|&a, &b| rank_at(x, a) == rank_at(x, b)) {
+        if walked >= next_poll {
+            if interrupted() {
+                return None;
+            }
+            next_poll = walked + CHECK_INTERVAL;
+        }
+        walked += x_ties.len();
+        group.clear();
+        group.extend(x_ties.iter().map(|&row| rank_at(y, row)).filter(|&r| r != NULL_RANK));
+        if group.len() > 1 {
+            group.sort_unstable();
+            n1 += pairs(group.len() as u64);
+            for joint in group.chunk_by(|a, b| a == b) {
+                n3 += pairs(joint.len() as u64);
+            }
+        }
+        // y ascends within the group, so an earlier member of the same
+        // x-tie group never ranks strictly above: only pairs across
+        // groups count as discordant.
+        for &r in &group {
+            discordant += n - tree.prefix_count(r as usize);
+            tree.add(r as usize);
+            if let Some(c) = y_counts.get_mut(r as usize) {
+                *c += 1;
+            }
+            n += 1;
+        }
+    }
     if n < 2 {
         return None;
     }
-
-    // Sort indices by (x, y).
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_unstable_by(|&a, &b| xs[a].total_cmp(&xs[b]).then(ys[a].total_cmp(&ys[b])));
-
-    let n0 = pairs(n as u64);
-
-    // Tie counts in x, and joint ties (x and y both equal).
-    let mut n1 = 0u64;
-    let mut n3 = 0u64;
-    {
-        let mut i = 0;
-        let mut next_poll = 0;
-        while i < n {
-            if i >= next_poll {
-                if crate::interrupt::interrupted() {
-                    return None;
-                }
-                next_poll = i + crate::interrupt::CHECK_INTERVAL;
-            }
-            let mut j = i;
-            while j + 1 < n && xs[idx[j + 1]] == xs[idx[i]] {
-                j += 1;
-            }
-            n1 += pairs((j - i + 1) as u64);
-            // Within the x-tie group, indices are sorted by y: count y runs.
-            let mut k = i;
-            while k <= j {
-                let mut m = k;
-                while m < j && ys[idx[m + 1]] == ys[idx[k]] {
-                    m += 1;
-                }
-                n3 += pairs((m - k + 1) as u64);
-                k = m + 1;
-            }
-            i = j + 1;
-        }
-    }
-
-    // Tie counts in y.
-    let mut sorted_y: Vec<f64> = ys.clone();
-    sorted_y.sort_unstable_by(f64::total_cmp);
-    let mut n2 = 0u64;
-    {
-        let mut i = 0;
-        let mut next_poll = 0;
-        while i < n {
-            if i >= next_poll {
-                if crate::interrupt::interrupted() {
-                    return None;
-                }
-                next_poll = i + crate::interrupt::CHECK_INTERVAL;
-            }
-            let mut j = i;
-            while j + 1 < n && sorted_y[j + 1] == sorted_y[i] {
-                j += 1;
-            }
-            n2 += pairs((j - i + 1) as u64);
-            i = j + 1;
-        }
-    }
-
-    // Discordant pairs = inversions of the y sequence ordered by (x, y).
-    let mut seq: Vec<f64> = idx.iter().map(|&i| ys[i]).collect();
-    let mut buf = vec![0.0; n];
-    let discordant = count_inversions(&mut seq, &mut buf)?;
-
+    let n2: u64 = y_counts.iter().map(|&c| pairs(c as u64)).sum();
+    let n0 = pairs(n);
     let denom = ((n0 - n1) as f64) * ((n0 - n2) as f64);
     if denom <= 0.0 {
         return None;
@@ -101,161 +95,19 @@ fn pairs(k: u64) -> u64 {
     k * k.saturating_sub(1) / 2
 }
 
-/// Count inversions (strictly decreasing pairs) with bottom-up merge sort.
-///
-/// Returns `None` when the run is interrupted mid-count (polled once per
-/// O(n) merge pass, so cancellation latency is one pass).
-fn count_inversions(seq: &mut [f64], buf: &mut [f64]) -> Option<u64> {
-    let n = seq.len();
-    let mut inversions = 0u64;
-    let mut width = 1;
-    while width < n {
-        if crate::interrupt::interrupted() {
-            return None;
-        }
-        let mut lo = 0;
-        while lo + width < n {
-            let mid = lo + width;
-            let hi = (lo + 2 * width).min(n);
-            inversions += merge_count(&seq[lo..hi], mid - lo, &mut buf[lo..hi]);
-            seq[lo..hi].copy_from_slice(&buf[lo..hi]);
-            lo += 2 * width;
-        }
-        width *= 2;
-    }
-    Some(inversions)
-}
-
-/// Merge two sorted halves of `slice` (split at `mid`) into `out`,
-/// counting cross-half inversions.
-fn merge_count(slice: &[f64], mid: usize, out: &mut [f64]) -> u64 {
-    let (left, right) = slice.split_at(mid);
-    let mut inversions = 0u64;
-    let (mut i, mut j, mut k) = (0, 0, 0);
-    // eda-lint: allow(EDA-L6) bounded to one merge window; count_inversions polls between passes
-    while i < left.len() && j < right.len() {
-        if left[i] <= right[j] {
-            out[k] = left[i];
-            i += 1;
-        } else {
-            // right[j] jumps ahead of all remaining left items: each is an
-            // inversion.
-            inversions += (left.len() - i) as u64;
-            out[k] = right[j];
-            j += 1;
-        }
-        k += 1;
-    }
-    out[k..k + left.len() - i].copy_from_slice(&left[i..]);
-    let k = k + left.len() - i;
-    out[k..k + right.len() - j].copy_from_slice(&right[j..]);
-    inversions
-}
-
-/// Per-column state reusable across every pair involving the column:
-/// its stable sort permutation and its tie-pair count. Computing these
-/// once per column (instead of once per pair) is the shared-computation
-/// optimization the DataPrep correlation matrix applies.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KendallPrep {
-    /// Stable argsort of the column (indices in ascending value order).
-    pub perm: Vec<u32>,
-    /// `Σ t(t-1)/2` over the column's tie groups.
-    pub tie_pairs: u64,
-}
-
-/// Build the shared per-column state. Returns `None` when the column
-/// contains NaN (pairwise-complete filtering invalidates a shared
-/// permutation; callers fall back to [`kendall_tau`] for such columns).
-pub fn kendall_prep(values: &[f64]) -> Option<KendallPrep> {
-    if values.iter().any(|v| v.is_nan()) {
-        return None;
-    }
-    let mut perm: Vec<u32> = (0..values.len() as u32).collect();
-    perm.sort_by(|&a, &b| values[a as usize].total_cmp(&values[b as usize]));
-    let mut tie_pairs = 0u64;
-    let mut i = 0;
-    while i < perm.len() {
-        let mut j = i;
-        while j + 1 < perm.len() && values[perm[j + 1] as usize] == values[perm[i] as usize] {
-            j += 1;
-        }
-        tie_pairs += pairs((j - i + 1) as u64);
-        i = j + 1;
-    }
-    Some(KendallPrep { perm, tie_pairs })
-}
-
-/// Kendall's tau-b over NaN-free columns using precomputed per-column
-/// state: `x_prep` is x's shared sort permutation / tie count, and
-/// `y_tie_pairs` comes from y's own prep. Exactly equal to
-/// [`kendall_tau`] on the same data, but the per-pair cost drops from
-/// two comparison sorts to one linear pass plus the inversion count.
-pub fn kendall_tau_prepped(
-    x: &[f64],
-    y: &[f64],
-    x_prep: &KendallPrep,
-    y_tie_pairs: u64,
-) -> Option<f64> {
-    let n = x.len();
-    if n < 2 || y.len() != n || x_prep.perm.len() != n {
-        return None;
-    }
-    let n0 = pairs(n as u64);
-    let n1 = x_prep.tie_pairs;
-    let n2 = y_tie_pairs;
-
-    // Walk x's shared order; within each x-tie group sort the y values
-    // ascending (required by Knight) and count joint ties.
-    let mut seq: Vec<f64> = Vec::with_capacity(n);
-    let mut n3 = 0u64;
-    let perm = &x_prep.perm;
-    let mut i = 0;
-    while i < n {
-        let mut j = i;
-        while j + 1 < n && x[perm[j + 1] as usize] == x[perm[i] as usize] {
-            j += 1;
-        }
-        if j == i {
-            seq.push(y[perm[i] as usize]);
-        } else {
-            let start = seq.len();
-            for &p in &perm[i..=j] {
-                seq.push(y[p as usize]);
-            }
-            let group = &mut seq[start..];
-            group.sort_unstable_by(|a, b| a.total_cmp(b));
-            let mut k = 0;
-            while k < group.len() {
-                let mut m = k;
-                while m + 1 < group.len() && group[m + 1] == group[k] {
-                    m += 1;
-                }
-                n3 += pairs((m - k + 1) as u64);
-                k = m + 1;
-            }
-        }
-        i = j + 1;
-    }
-
-    let mut buf = vec![0.0; n];
-    let discordant = count_inversions(&mut seq, &mut buf)?;
-    let denom = ((n0 - n1) as f64) * ((n0 - n2) as f64);
-    if denom <= 0.0 {
-        return None;
-    }
-    let numer = n0 as f64 - n1 as f64 - n2 as f64 + n3 as f64 - 2.0 * discordant as f64;
-    Some(numer / denom.sqrt())
-}
-
-/// Independent O(n log n) tau-b cross-check used to validate the fast
-/// path in tests. Formerly an O(n²) double loop over all pairs; now it
-/// counts discordant pairs as inversions with a Fenwick (binary indexed)
-/// tree over rank-compressed y values — the same pair counts as the
-/// double loop, via a mechanism shared with neither Knight merge path.
+/// O(n log n) tau-b cross-check over the raw `f64` values: it sorts the
+/// complete pairs by `(x, y)` and counts discordant pairs with a Fenwick
+/// tree over y values rank-compressed by binary search. It shares the
+/// Fenwick counter with [`kendall_tau_ranked`], so the independent
+/// oracle is [`kendall_tau_quadratic`].
 #[doc(hidden)]
 pub fn kendall_tau_naive(x: &[f64], y: &[f64]) -> Option<f64> {
-    let (xs, ys) = complete_pairs(x, y);
+    let (mut xs, mut ys) = complete_pairs(x, y);
+    // `total_cmp` orders -0.0 before 0.0 while `==` ties them; adding
+    // 0.0 folds -0.0 onto 0.0 so sort order and tie runs agree.
+    for v in xs.iter_mut().chain(ys.iter_mut()) {
+        *v += 0.0;
+    }
     let n = xs.len();
     if n < 2 {
         return None;
@@ -330,9 +182,39 @@ pub fn kendall_tau_naive(x: &[f64], y: &[f64]) -> Option<f64> {
     Some((concordant - discordant as i64) as f64 / denom.sqrt())
 }
 
+/// O(n²) tau-b over every pair of pairwise-complete observations: the
+/// test oracle for the O(n log n) paths. It classifies each pair by
+/// comparing values (never subtracting them, which would turn tied
+/// infinities into NaN), so it shares no mechanism with either.
+#[doc(hidden)]
+pub fn kendall_tau_quadratic(x: &[f64], y: &[f64]) -> Option<f64> {
+    let (xs, ys) = complete_pairs(x, y);
+    let n = xs.len();
+    if n < 2 {
+        return None;
+    }
+    let sign = |a: f64, b: f64| (a > b) as i64 - (a < b) as i64;
+    let (mut score, mut tx, mut ty) = (0i64, 0u64, 0u64);
+    for (i, (&xi, &yi)) in xs.iter().zip(&ys).enumerate() {
+        for (&xj, &yj) in xs.iter().zip(&ys).skip(i + 1) {
+            let (dx, dy) = (sign(xi, xj), sign(yi, yj));
+            tx += (dx == 0) as u64;
+            ty += (dy == 0) as u64;
+            // +1 concordant, -1 discordant, 0 tied on either side.
+            score += dx * dy;
+        }
+    }
+    let n0 = (n * (n - 1) / 2) as f64;
+    let denom = (n0 - tx as f64) * (n0 - ty as f64);
+    if denom <= 0.0 {
+        return None;
+    }
+    Some(score as f64 / denom.sqrt())
+}
+
 /// Fenwick tree over element counts, 0-indexed ranks.
 struct Fenwick {
-    tree: Vec<u64>,
+    tree: Vec<u32>,
 }
 
 impl Fenwick {
@@ -343,8 +225,9 @@ impl Fenwick {
     /// Increment the count at `rank`.
     fn add(&mut self, rank: usize) {
         let mut i = rank + 1;
-        while i < self.tree.len() {
-            self.tree[i] += 1;
+        // eda-lint: allow(EDA-L6) bounded: log2(size) steps
+        while let Some(count) = self.tree.get_mut(i) {
+            *count += 1;
             i += i & i.wrapping_neg();
         }
     }
@@ -352,9 +235,10 @@ impl Fenwick {
     /// Number of inserted elements with rank ≤ `rank`.
     fn prefix_count(&self, rank: usize) -> u64 {
         let mut i = rank + 1;
-        let mut total = 0;
+        let mut total = 0u64;
+        // eda-lint: allow(EDA-L6) bounded: log2(size) steps
         while i > 0 {
-            total += self.tree[i];
+            total += self.tree.get(i).copied().map_or(0, u64::from);
             i -= i & i.wrapping_neg();
         }
         total
@@ -439,79 +323,29 @@ mod tests {
     }
 
     #[test]
-    fn prepped_matches_plain_on_tied_data() {
+    fn ranked_matches_quadratic_on_hostile_values() {
+        // Signed zeros tie, infinities order, NaNs drop out pairwise.
+        let x = [0.0, -0.0, 1.0, -0.0, f64::NAN, 0.0, f64::INFINITY, -1.0, f64::INFINITY];
+        let y = [3.0, 1.0, 2.0, f64::NAN, 5.0, -0.0, 0.0, f64::NEG_INFINITY, 4.0];
+        for (a, b) in [(&x, &y), (&y, &x)] {
+            let fast = kendall_tau(a, b).unwrap();
+            let oracle = kendall_tau_quadratic(a, b).unwrap();
+            assert_eq!(fast.to_bits(), oracle.to_bits(), "{fast} vs {oracle}");
+            assert_eq!(kendall_tau_naive(a, b).unwrap().to_bits(), oracle.to_bits());
+        }
+    }
+
+    #[test]
+    fn ranked_reuses_column_ranks() {
         let x: Vec<f64> = (0..300).map(|i| ((i * 37 + 11) % 23) as f64).collect();
-        let y: Vec<f64> = (0..300).map(|i| ((i * 53 + 7) % 19) as f64).collect();
-        let xp = kendall_prep(&x).unwrap();
-        let yp = kendall_prep(&y).unwrap();
-        let fast = kendall_tau_prepped(&x, &y, &xp, yp.tie_pairs).unwrap();
-        let plain = kendall_tau(&x, &y).unwrap();
-        assert!((fast - plain).abs() < 1e-12, "{fast} vs {plain}");
-        // Symmetric use of the preps.
-        let rev = kendall_tau_prepped(&y, &x, &yp, xp.tie_pairs).unwrap();
-        assert!((fast - rev).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prepped_matches_plain_continuous() {
-        let x: Vec<f64> = (0..200).map(|i| ((i * 97 + 13) % 541) as f64 / 7.0).collect();
-        let y: Vec<f64> = (0..200).map(|i| ((i * 31 + 29) % 769) as f64 / 11.0).collect();
-        let xp = kendall_prep(&x).unwrap();
-        let yp = kendall_prep(&y).unwrap();
-        let fast = kendall_tau_prepped(&x, &y, &xp, yp.tie_pairs).unwrap();
-        let plain = kendall_tau(&x, &y).unwrap();
-        assert!((fast - plain).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prep_rejects_nan_columns() {
-        assert!(kendall_prep(&[1.0, f64::NAN]).is_none());
-        assert!(kendall_prep(&[1.0, 2.0]).is_some());
-    }
-
-    #[test]
-    fn prepped_degenerate() {
-        let xp = kendall_prep(&[2.0, 2.0]).unwrap();
-        let yp = kendall_prep(&[1.0, 3.0]).unwrap();
-        assert_eq!(
-            kendall_tau_prepped(&[2.0, 2.0], &[1.0, 3.0], &xp, yp.tie_pairs),
-            None
-        );
-    }
-
-    /// O(n²) double loop kept only as a test oracle for the two
-    /// O(n log n) production paths (merge-sort and Fenwick).
-    fn kendall_tau_quadratic(x: &[f64], y: &[f64]) -> Option<f64> {
-        let (xs, ys) = complete_pairs(x, y);
-        let n = xs.len();
-        if n < 2 {
-            return None;
-        }
-        let (mut concordant, mut discordant, mut tx, mut ty) = (0i64, 0i64, 0u64, 0u64);
-        for i in 0..n {
-            for j in i + 1..n {
-                let dx = xs[i] - xs[j];
-                let dy = ys[i] - ys[j];
-                if dx == 0.0 && dy == 0.0 {
-                    tx += 1;
-                    ty += 1;
-                } else if dx == 0.0 {
-                    tx += 1;
-                } else if dy == 0.0 {
-                    ty += 1;
-                } else if dx * dy > 0.0 {
-                    concordant += 1;
-                } else {
-                    discordant += 1;
-                }
-            }
-        }
-        let n0 = (n * (n - 1) / 2) as f64;
-        let denom = (n0 - tx as f64) * (n0 - ty as f64);
-        if denom <= 0.0 {
-            return None;
-        }
-        Some((concordant - discordant) as f64 / denom.sqrt())
+        let y: Vec<f64> = (0..300)
+            .map(|i| if i % 9 == 0 { f64::NAN } else { ((i * 53 + 7) % 19) as f64 })
+            .collect();
+        let (rx, ry) = (ColumnRanks::new(&x), ColumnRanks::new(&y));
+        let fast = kendall_tau_ranked(&rx, &ry).unwrap();
+        assert_eq!(fast.to_bits(), kendall_tau_ranked(&ry, &rx).unwrap().to_bits());
+        assert_eq!(fast.to_bits(), kendall_tau_quadratic(&x, &y).unwrap().to_bits());
+        assert_eq!(kendall_tau_ranked(&rx, &ColumnRanks::new(&[1.0])), None);
     }
 
     #[test]
@@ -539,21 +373,5 @@ mod tests {
         let x = [1.0, f64::NAN, 2.0, 3.0];
         let y = [1.0, 99.0, 2.0, 3.0];
         assert!((kendall_tau_naive(&x, &y).unwrap() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn inversion_counter_basics() {
-        let mut seq = vec![3.0, 1.0, 2.0];
-        let mut buf = vec![0.0; 3];
-        assert_eq!(count_inversions(&mut seq, &mut buf), Some(2));
-        assert_eq!(seq, vec![1.0, 2.0, 3.0]);
-
-        let mut sorted = vec![1.0, 2.0, 3.0, 4.0];
-        let mut buf = vec![0.0; 4];
-        assert_eq!(count_inversions(&mut sorted, &mut buf), Some(0));
-
-        let mut rev = vec![4.0, 3.0, 2.0, 1.0];
-        let mut buf = vec![0.0; 4];
-        assert_eq!(count_inversions(&mut rev, &mut buf), Some(6));
     }
 }

@@ -1,7 +1,7 @@
 //! Correlation matrices over named column sets.
 
-use super::{spearman::spearman_from_ranks, CorrMethod};
-use crate::rank::ranks;
+use super::{kendall::kendall_tau_ranked, spearman::spearman_from_ranks, CorrMethod};
+use crate::rank::ColumnRanks;
 
 /// A symmetric correlation matrix with column labels.
 ///
@@ -27,20 +27,18 @@ impl CorrMatrix {
         method: CorrMethod,
     ) -> CorrMatrix {
         let m = columns.len();
-        // Spearman over a NaN-free column pair is Pearson over the
-        // columns' own ranks, so rank each complete column once —
-        // O(m·n log n) ranking instead of O(m²·n log n). A column with
-        // NaNs keeps `None` here and its pairs fall back to the per-pair
-        // path, which re-ranks over each pair's complete subset (the
-        // two paths only coincide when nothing is dropped).
-        let col_ranks: Vec<Option<Vec<f64>>> = if method == CorrMethod::Spearman {
-            columns
-                .iter()
-                .map(|(_, v)| (!v.iter().any(|x| x.is_nan())).then(|| ranks(v)))
-                .collect()
-        } else {
+        // Rank each column once — O(m·n log n) instead of O(m²·n log n).
+        // Kendall works from the shared ranks for every pair. Spearman
+        // over a NaN-free pair is Pearson over the columns' own ranks; a
+        // pair with NaNs falls back to the per-pair path, which re-ranks
+        // over the pair's complete subset (the two only coincide when
+        // nothing is dropped).
+        let col_ranks: Vec<ColumnRanks> = if method == CorrMethod::Pearson {
             Vec::new()
+        } else {
+            columns.iter().map(|(_, v)| ColumnRanks::new(v)).collect()
         };
+        let null_free = |r: &ColumnRanks| r.order.len() == r.dense.len();
         let mut cells = vec![None; m * m];
         for i in 0..m {
             // Each pair costs O(n) .. O(n log n); the pair boundary is the
@@ -52,11 +50,13 @@ impl CorrMatrix {
             }
             cells[i * m + i] = Some(1.0);
             for j in (i + 1)..m {
-                let r = match method {
-                    CorrMethod::Spearman => match (&col_ranks[i], &col_ranks[j]) {
-                        (Some(ri), Some(rj)) => spearman_from_ranks(ri, rj),
-                        _ => method.compute(&columns[i].1, &columns[j].1),
-                    },
+                let r = match (method, col_ranks.get(i), col_ranks.get(j)) {
+                    (CorrMethod::KendallTau, Some(ri), Some(rj)) => kendall_tau_ranked(ri, rj),
+                    (CorrMethod::Spearman, Some(ri), Some(rj))
+                        if null_free(ri) && null_free(rj) =>
+                    {
+                        spearman_from_ranks(&ri.mid, &rj.mid)
+                    }
                     _ => method.compute(&columns[i].1, &columns[j].1),
                 };
                 cells[i * m + j] = r;

@@ -10,9 +10,9 @@ mod matrix;
 mod pearson;
 mod spearman;
 
-pub use kendall::{kendall_prep, kendall_tau, kendall_tau_prepped, KendallPrep};
+pub use kendall::{kendall_tau, kendall_tau_ranked};
 #[doc(hidden)]
-pub use kendall::kendall_tau_naive;
+pub use kendall::{kendall_tau_naive, kendall_tau_quadratic};
 pub use matrix::CorrMatrix;
 pub use pearson::{pearson, PearsonPartial};
 pub use spearman::{spearman, spearman_from_ranks};

@@ -6,7 +6,7 @@
 // targets shipped code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use eda_stats::corr::{kendall_tau, kendall_tau_naive, pearson, spearman, PearsonPartial};
+use eda_stats::corr::{kendall_tau, kendall_tau_quadratic, pearson, spearman, PearsonPartial};
 use eda_stats::corr::{CorrMatrix, CorrMethod};
 use eda_stats::freq::FreqTable;
 use eda_stats::histogram::Histogram;
@@ -140,15 +140,22 @@ proptest! {
     }
 
     #[test]
-    fn kendall_fast_matches_naive(x in prop::collection::vec(-20i32..20, 2..60), y in prop::collection::vec(-20i32..20, 2..60)) {
+    fn kendall_fast_matches_quadratic(x in prop::collection::vec(-22i32..20, 2..60), y in prop::collection::vec(-22i32..20, 2..60)) {
+        // -22 is a null and -21 a negative zero, so the pairwise-complete
+        // skip and the signed-zero ties are both exercised.
+        let value = |v: i32| match v {
+            -22 => f64::NAN,
+            -21 => -0.0,
+            v => v as f64,
+        };
         let n = x.len().min(y.len());
-        let xs: Vec<f64> = x[..n].iter().map(|&v| v as f64).collect();
-        let ys: Vec<f64> = y[..n].iter().map(|&v| v as f64).collect();
-        match (kendall_tau(&xs, &ys), kendall_tau_naive(&xs, &ys)) {
-            (Some(f), Some(s)) => prop_assert!((f - s).abs() < 1e-9, "{f} vs {s}"),
-            (None, None) => {}
-            other => prop_assert!(false, "definedness mismatch: {other:?}"),
-        }
+        let xs: Vec<f64> = x[..n].iter().map(|&v| value(v)).collect();
+        let ys: Vec<f64> = y[..n].iter().map(|&v| value(v)).collect();
+        // Tie and pair counts are small integers, so the O(n log n)
+        // kernel and the O(n²) oracle must agree to the bit.
+        let fast = kendall_tau(&xs, &ys).map(f64::to_bits);
+        let oracle = kendall_tau_quadratic(&xs, &ys).map(f64::to_bits);
+        prop_assert_eq!(fast, oracle);
     }
 
     #[test]
