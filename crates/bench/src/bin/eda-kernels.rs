@@ -1,15 +1,17 @@
-//! Kernel-engine microbenchmark: scalar vs vector hot-kernel shapes,
+//! Kernel-engine microbenchmark: the slice kernels vs per-value loops,
 //! plus the morsel-driven skewed-partition stage experiment.
 //!
 //! Two claims from DESIGN.md §15 are measured and gated:
 //!
-//! * **Vectorization** — the lane-parallel kernel shapes in
-//!   `eda_stats::vector` (moments power sums, histogram reciprocal
-//!   binning, min/max select lanes, Pearson chunk sums, nullity
-//!   popcounts) sustain a multiple of the scalar streaming updates'
-//!   throughput. Compiled with `--features simd` the moments/minmax inner
-//!   loops dispatch to AVX2 intrinsics when the CPU has them; without it
-//!   they are the autovectorized fallback — bit-identical, narrower.
+//! * **Vectorization** — the lane-parallel slice kernels
+//!   (`Moments::push_slice`, `Histogram::fill_slice`,
+//!   `eda_stats::vector::minmax`, `PearsonPartial::push_slices`,
+//!   `eda_stats::vector::count_joint`) sustain a multiple of the
+//!   throughput of a per-value loop over the streaming updates
+//!   (`Moments::push`, `Histogram::push`, `PearsonPartial::push`, plain
+//!   scans). The "scalar" columns of the JSON are those loops. The lane
+//!   loops dispatch to AVX2 intrinsics when the CPU has them, else to the
+//!   autovectorized fallback — bit-identical, narrower.
 //! * **Morsel stealing** — on a skewed partitioning (one partition
 //!   holding 90% of the rows) the morsel engine levels per-worker load.
 //!   Because stage latency on a multi-core box is the *makespan* (the
@@ -21,7 +23,7 @@
 //!   reported (ungated).
 //!
 //! Usage:
-//! `cargo run -p eda-bench --release --features simd --bin eda-kernels -- --smoke --json /tmp/BENCH_kernels.json`
+//! `cargo run -p eda-bench --release --bin eda-kernels -- --smoke --json /tmp/BENCH_kernels.json`
 //!
 //! * `--smoke` — CI-friendly dataset (200k rows).
 //! * `--rows <n>` — explicit row count (default 1,000,000; `--smoke` wins).
@@ -39,7 +41,7 @@ use eda_stats::{Histogram, Moments};
 use eda_taskgraph::morsel;
 
 /// Deterministic value stream: an LCG folded into a bounded float range,
-/// the same mix every run so scalar and vector process identical bytes.
+/// the same mix every run so both loops process identical bytes.
 fn synth(rows: usize) -> Vec<f64> {
     let mut state = 0x2545F4914F6CDD1Du64;
     (0..rows)
@@ -50,12 +52,12 @@ fn synth(rows: usize) -> Vec<f64> {
         .collect()
 }
 
-/// Paired A/B measurement: `iters` rounds, each timing the scalar shape
-/// and then the vector shape back to back (first round of each is an
+/// Paired A/B measurement: `iters` rounds, each timing the per-value
+/// loop and then the slice kernel back to back (first round of each is an
 /// unmeasured warmup), with a `std::hint::black_box` fence around every
 /// kernel result.
 ///
-/// Returns the best time of each shape plus the **median of the
+/// Returns the best time of each side plus the **median of the
 /// per-round speedup ratios**. On a shared/virtualized runner the
 /// machine's effective speed drifts between measurement windows; a ratio
 /// of two adjacent timings cancels that drift, and the median discards
@@ -89,7 +91,7 @@ struct AbResult {
 }
 
 /// Merge one kernel's measurements from two suite passes: keep the best
-/// time of each shape and the higher paired-median speedup. External
+/// time of each side and the higher paired-median speedup. External
 /// disturbance (CPU steal, a noisy neighbor on a shared runner) only
 /// ever *slows* a measurement, so the least-disturbed pass is the best
 /// estimate of the machine's true ratio; because the passes are spaced
@@ -115,12 +117,7 @@ fn main() {
     const BINS: usize = 50;
 
     println!("kernel bench: {rows} rows, best of {PASSES} passes x {ITERS} paired rounds");
-    println!(
-        "{} | simd feature: {} | avx2 dispatch: {}",
-        machine_context(),
-        cfg!(feature = "simd"),
-        vector::avx2_available()
-    );
+    println!("{} | avx2 dispatch: {}", machine_context(), vector::avx2_available());
     println!();
 
     let data = synth(rows);
@@ -136,12 +133,14 @@ fn main() {
             ITERS,
             || {
                 let mut m = Moments::new();
-                m.push_slice_scalar(&data);
+                for &v in &data {
+                    m.push(v);
+                }
                 m
             },
             || {
                 let mut m = Moments::new();
-                m.push_slice_vector(&data);
+                m.push_slice(&data);
                 m
             },
         );
@@ -149,12 +148,14 @@ fn main() {
             ITERS,
             || {
                 let mut h = Histogram::new(dmin, dmax, BINS);
-                h.extend(data.iter().copied());
+                for &v in &data {
+                    h.push(v);
+                }
                 h
             },
             || {
                 let mut h = Histogram::new(dmin, dmax, BINS);
-                vector::histogram_fill(&mut h, &data);
+                h.fill_slice(&data);
                 h
             },
         );
@@ -184,7 +185,7 @@ fn main() {
             },
             || {
                 let mut p = eda_stats::corr::PearsonPartial::new();
-                vector::pearson_slices(&mut p, &data, &ys);
+                p.push_slices(&data, &ys);
                 p
             },
         );

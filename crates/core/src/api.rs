@@ -715,13 +715,13 @@ mod tests {
     }
 
     #[test]
-    fn morsels_and_simd_off_reproduce_scalar_reference() {
+    fn morsels_off_and_on_reproduce_per_value_reference() {
         use eda_stats::histogram::Histogram;
         use eda_stats::moments::Moments;
 
         // Large enough that the morsel engine engages under the default
         // 256 KiB budget (100k f64 rows ≈ 780 KiB), single partition so
-        // the scalar reference below replays the exact legacy fold.
+        // the reference below replays one whole-column fold.
         let n = 100_000usize;
         let vals: Vec<f64> =
             (0..n as u64).map(|i| ((i * 2654435761) % 10_000) as f64 / 7.0 - 500.0).collect();
@@ -736,11 +736,12 @@ mod tests {
             pairs.extend_from_slice(extra);
             Config::from_pairs(pairs).unwrap()
         };
-        let legacy = cfg_of(&[("engine.morsel_bytes", "0"), ("engine.simd", "false")]);
+        let off = cfg_of(&[("engine.morsel_bytes", "0")]);
 
-        // Golden: with both knobs off the pipeline must reproduce the
-        // sequential scalar sketches bit for bit.
-        let a = plot(&df, &["v"], &legacy).unwrap();
+        // Reference: the per-value sketches. Bin counts and the
+        // extrema-derived edges are integer-exact, so the whole-slice
+        // lane kernels must reproduce them bit for bit.
+        let a = plot(&df, &["v"], &off).unwrap();
         let mut m = Moments::new();
         for &v in &vals {
             m.push(v);
@@ -759,11 +760,10 @@ mod tests {
         }
         assert_eq!(counts, &h.counts);
 
-        // Turning morsels (and compiled-in SIMD) back on may reassociate
-        // float sums, but every integer-exact output — bin counts and
-        // the extrema-derived edges — must not move.
-        let fast = cfg_of(&[]);
-        let b = plot(&df, &["v"], &fast).unwrap();
+        // Turning morsels on may reassociate float sums, but the
+        // integer-exact outputs must not move.
+        let on = cfg_of(&[]);
+        let b = plot(&df, &["v"], &on).unwrap();
         let Some(Inter::Histogram { edges: fe, counts: fc }) = b.get("histogram") else {
             panic!("univariate analysis must produce a histogram");
         };
@@ -780,12 +780,45 @@ mod tests {
             crate::json::intermediates_to_json(&w1.intermediates),
             crate::json::intermediates_to_json(&w4.intermediates)
         );
-        // And the legacy path itself is reproducible byte for byte.
-        let a2 = plot(&df, &["v"], &legacy).unwrap();
+        // And the morsels-off path itself is reproducible byte for byte.
+        let a2 = plot(&df, &["v"], &off).unwrap();
         assert_eq!(
             crate::json::intermediates_to_json(&a.intermediates),
             crate::json::intermediates_to_json(&a2.intermediates)
         );
+    }
+
+    #[test]
+    fn histogram_bins_do_not_depend_on_partitioning() {
+        // Null-free partitions take the lane fill, the partition holding
+        // the nulls takes the per-value push: both must bin by one rule,
+        // or boundary values (tenths on a 0.1-wide grid) would move
+        // between bins as `engine.npartitions` moves the nulls around.
+        let n = 1_000usize;
+        let vals: Vec<Option<f64>> =
+            (0..n).map(|i| (i >= 10).then(|| (i % 11) as f64 / 10.0)).collect();
+        let df = DataFrame::new(vec![("v".into(), Column::from_opt_f64(vals))]).unwrap();
+        let hist_json = |nparts: &str| {
+            let cfg = Config::from_pairs(vec![
+                ("engine.npartitions", nparts),
+                ("engine.cache_budget_bytes", "0"),
+                ("hist.bins", "10"),
+            ])
+            .unwrap();
+            let a = plot(&df, &["v"], &cfg).unwrap();
+            let Some(h @ Inter::Histogram { counts, .. }) = a.get("histogram") else {
+                panic!("univariate analysis must produce a histogram");
+            };
+            // Tenths 0.0..=1.0 over 990 non-null rows, 90 of each. The
+            // reciprocal rule puts every tenth in its own bin (0.3 / 0.1
+            // would truncate to bin 2, 0.6 and 0.7 one bin low too); 1.0
+            // closes the last bin.
+            assert_eq!(counts, &vec![90, 90, 90, 90, 90, 90, 90, 90, 90, 180], "npartitions={nparts}");
+            crate::json::inter_to_json(h)
+        };
+        let one = hist_json("1");
+        assert_eq!(hist_json("2"), one);
+        assert_eq!(hist_json("4"), one);
     }
 
     #[test]

@@ -253,11 +253,6 @@ impl<'a> ComputeContext<'a> {
             metrics: self.config.engine.metrics,
             morsel_bytes: self.config.engine.morsel_bytes,
         };
-        // `engine.simd = false` forces the scalar kernels even in builds
-        // carrying the `simd` feature (a process-wide latch, like the
-        // metrics one: the vector/scalar choice is not part of task
-        // keys, so per-run flapping would confuse cached results).
-        eda_stats::vector::set_force_scalar(!self.config.engine.simd);
         // workers <= 1 means the in-place topological scheduler: no pool
         // to spin up, and fault-tolerance behaviour stays identical.
         let result = if self.config.engine.workers <= 1 {

@@ -451,9 +451,9 @@ mod tests {
     #[test]
     fn histogram_ks_bounds() {
         let mut a = Histogram::new(0.0, 10.0, 5);
-        a.extend([1.0, 2.0, 3.0]);
+        a.fill_slice(&[1.0, 2.0, 3.0]);
         let mut b = Histogram::new(0.0, 10.0, 5);
-        b.extend([9.0, 9.5]);
+        b.fill_slice(&[9.0, 9.5]);
         let d = histogram_ks(&a, &b).unwrap();
         assert!(d > 0.9);
         assert!(histogram_ks(&a, &a).unwrap() < 1e-12);

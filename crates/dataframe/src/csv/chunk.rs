@@ -334,13 +334,6 @@ pub fn reparse_chunk_column_str(
     Ok(builder.finish())
 }
 
-/// Re-expose the sequential reader's invalid-UTF-8 error shape for chunk
-/// validation: `base` is the chunk's absolute offset, so the reported
-/// byte is absolute in the file.
-pub fn utf8_error(e: &std::str::Utf8Error, base: u64) -> Error {
-    super::reader::utf8_error(e, base)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

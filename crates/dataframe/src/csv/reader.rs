@@ -45,8 +45,9 @@ pub fn read_csv<P: AsRef<Path>>(path: P) -> Result<DataFrame> {
 }
 
 /// Build the canonical invalid-UTF-8 error for a failed validation whose
-/// input started at absolute byte `base` of the source.
-pub(crate) fn utf8_error(e: &std::str::Utf8Error, base: u64) -> Error {
+/// input started at absolute byte `base` of the source (a chunk's
+/// offset, so the reported byte is absolute in the file).
+pub fn utf8_error(e: &std::str::Utf8Error, base: u64) -> Error {
     let offset = base + e.valid_up_to() as u64;
     Error::Malformed {
         line: 0,

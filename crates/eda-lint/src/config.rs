@@ -22,7 +22,7 @@ use std::path::Path;
 #[derive(Debug, Clone, Default)]
 pub struct Config {
     /// Cargo features treated as enabled when evaluating `#[cfg(...)]`
-    /// gates (`--cfg simd` analyzes the AVX2 modules).
+    /// gates (`--cfg <feature>` analyzes the code gated on it).
     pub features: Vec<String>,
     /// EDA-L5 roots: panic-reachability starts here. Spec grammar:
     /// `crate::module::name`, `crate::module::Owner::name`, or

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run -p eda-lint                          # lint, roots from lint-roots.toml
-//! cargo run -p eda-lint -- --cfg simd            # analyze the AVX2 configuration
+//! cargo run -p eda-lint -- --cfg <feature>       # analyze with a cargo feature enabled
 //! cargo run -p eda-lint -- --format json --out findings.json
 //! cargo run -p eda-lint -- --baseline lint-baseline.json   # fail on NEW findings only
 //! cargo run -p eda-lint -- --write-baseline lint-baseline.json  # bless current findings
@@ -77,7 +77,7 @@ fn main() -> ExitCode {
                      --write-baseline and ratchet with --baseline (fails on NEW findings\n\
                      only). --merge-baseline unions into an existing baseline (per-key\n\
                      max) so one file can cover several --cfg configurations.\n\
-                     --cfg simd analyzes the feature-gated AVX2 modules."
+                     --cfg <feature> analyzes the code gated on that cargo feature."
                 );
                 return ExitCode::SUCCESS;
             }

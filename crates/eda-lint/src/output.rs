@@ -255,8 +255,8 @@ impl Baseline {
     }
 
     /// Merge another baseline, taking the max count per key (used to
-    /// bless the union of the default and `--cfg simd` runs in one
-    /// file).
+    /// bless the union of the default and `--cfg <feature>` runs in
+    /// one file).
     pub fn merge_max(&mut self, other: &Baseline) {
         for (k, &v) in &other.counts {
             let e = self.counts.entry(k.clone()).or_insert(0);

@@ -30,8 +30,8 @@ impl FileLex {
 
     /// Lex and pre-analyze one source file, treating `features` as the
     /// enabled cargo feature set when evaluating `#[cfg(...)]` gates
-    /// (so a `--cfg simd` run analyzes the AVX2 modules the default run
-    /// masks, and masks the scalar-only fallbacks).
+    /// (so a `--cfg <feature>` run analyzes the feature-gated code the
+    /// default run masks, and masks what `not(feature = ...)` gates).
     pub fn build_cfg(src: &SourceFile, features: &[String]) -> FileLex {
         let lexed = lex(&src.content);
         let masked = cfg_masks(&lexed, features);
@@ -80,8 +80,8 @@ impl FileLex {
 /// `cfg(` or inside `any(...)`/`all(...)`/`not(...)`), leaving `pos`
 /// after the predicate. Unknown predicates evaluate `true` (analyze the
 /// code rather than silently skipping it); the build target is assumed
-/// to be the CI/SIMD target (`x86_64-unknown-linux-gnu`), which is where
-/// the feature-gated intrinsics live.
+/// to be the CI target (`x86_64-unknown-linux-gnu`), which is where the
+/// `target_arch`-gated AVX2 intrinsics live.
 fn eval_cfg_pred(toks: &[Tok], pos: &mut usize, features: &[String]) -> bool {
     let Some(head) = toks.get(*pos) else { return true };
     if head.kind != TokKind::Ident {
@@ -140,8 +140,7 @@ fn eval_cfg_pred(toks: &[Tok], pos: &mut usize, features: &[String]) -> bool {
 /// configuration: `#[test]` / `#[tokio::test]` items, and `#[cfg(...)]`
 /// items whose predicate evaluates false under `features` (so
 /// `#[cfg(test)]` and `#[cfg(loom)]` are masked always, and
-/// `#[cfg(feature = "simd")]` only when `simd` is not in the active
-/// set). The range runs from the attribute to the closing brace of the
+/// `#[cfg(feature = "x")]` only when `x` is not in the active set). The range runs from the attribute to the closing brace of the
 /// item that follows (or its terminating `;` for `mod x;` forms).
 fn cfg_masks(lexed: &Lexed, features: &[String]) -> Vec<(u32, u32)> {
     let toks = &lexed.tokens;

@@ -29,7 +29,7 @@
 //!   source), and concatenates in chunk-index order.
 //!
 //! `chunk_bytes = 0` bypasses all of this and runs today's sequential
-//! single-pass reader — bit-for-bit, matching the governance/SIMD
+//! single-pass reader — bit-for-bit, matching the governance
 //! "bit-identical when off" convention.
 
 use std::path::Path;
@@ -39,7 +39,7 @@ use eda_dataframe::csv::chunk::{
     self, cast_int_to_float, global_schema, needs_text_repair, parse_chunk, sample_schema,
     BoundaryScanner, ChunkSpec, ParsedChunk,
 };
-use eda_dataframe::csv::{read_csv_str, CsvOptions};
+use eda_dataframe::csv::{read_csv_str, utf8_error, CsvOptions};
 use eda_dataframe::{Column, DataFrame, DataType, Error, Result};
 use eda_taskgraph::cache::PayloadSizer;
 use eda_taskgraph::ingest::run_chunk_tasks;
@@ -163,7 +163,7 @@ pub(crate) fn prepare(source: &ByteSource, opts: &IngestOptions) -> Result<Optio
     scanner.finish(&mut specs);
     let sample_bytes = capture.finish(source.len());
     let sample_text =
-        std::str::from_utf8(&sample_bytes).map_err(|e| chunk::utf8_error(&e, 0))?;
+        std::str::from_utf8(&sample_bytes).map_err(|e| utf8_error(&e, 0))?;
     let (names, hint) = sample_schema(sample_text, &opts.csv)?;
     if names.is_empty() {
         return Ok(None);
@@ -185,7 +185,7 @@ pub(crate) fn parse_spec(
     csv: &CsvOptions,
 ) -> ChunkResult {
     source.with_chunk(spec.offset, spec.len, |bytes| {
-        let text = std::str::from_utf8(bytes).map_err(|e| chunk::utf8_error(&e, spec.offset))?;
+        let text = std::str::from_utf8(bytes).map_err(|e| utf8_error(&e, spec.offset))?;
         parse_chunk(text, spec.offset, spec.first_record, skip_first, hint, names, csv)
     })?
 }
@@ -218,7 +218,7 @@ pub fn read_csv_chunked<P: AsRef<Path>>(path: P, opts: &IngestOptions) -> Result
     if opts.chunk_bytes == 0 {
         let bytes = std::fs::read(path)?;
         let text =
-            std::str::from_utf8(&bytes).map_err(|e| chunk::utf8_error(&e, 0))?;
+            std::str::from_utf8(&bytes).map_err(|e| utf8_error(&e, 0))?;
         return read_csv_str(text, &opts.csv);
     }
     let source = ByteSource::open(path.as_ref(), opts.mmap)?;
@@ -315,7 +315,7 @@ fn fold_chunks(
                 let spec = specs[k];
                 source.with_chunk(spec.offset, spec.len, |bytes| {
                     let text = std::str::from_utf8(bytes)
-                        .map_err(|e| chunk::utf8_error(&e, spec.offset))?;
+                        .map_err(|e| utf8_error(&e, spec.offset))?;
                     chunk::reparse_chunk_column_str(
                         text,
                         spec.offset,

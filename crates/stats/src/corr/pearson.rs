@@ -9,8 +9,8 @@ use super::complete_pairs;
 pub fn pearson(x: &[f64], y: &[f64]) -> Option<f64> {
     let (xs, ys) = complete_pairs(x, y);
     let mut p = PearsonPartial::new();
-    // Chunked accumulation: polls the interrupt probe per CHECK_INTERVAL
-    // pairs and takes the vector shape when available.
+    // Chunked lane accumulation: polls the interrupt probe per
+    // CHECK_INTERVAL pairs.
     p.push_slices(&xs, &ys);
     p.finish()
 }
@@ -50,36 +50,12 @@ impl PearsonPartial {
         PearsonPartial { n, mean_x, mean_y, m2x, m2y, cxy }
     }
 
-    /// Accumulate a pair of parallel slices (co-indexed columns),
+    /// Accumulate a pair of parallel slices (co-indexed columns) with
+    /// the lane-parallel kernel (`vector::pearson_slices`),
     /// polling the cooperative-interruption probe and reporting morsel
     /// telemetry every [`crate::interrupt::CHECK_INTERVAL`] pairs.
-    /// Takes the vector shape when [`crate::vector::simd_enabled`].
-    //
-    // Kept out of line: inlined into a caller that holds the partial on
-    // its stack (e.g. `pearson`), LLVM reloads the accumulators from
-    // memory on every pair, putting a store-to-load forward on the
-    // loop-carried chain (~20% slower on the nullity matrix); out of
-    // line they stay in registers.
-    #[inline(never)]
     pub fn push_slices(&mut self, x: &[f64], y: &[f64]) {
-        if crate::vector::simd_enabled() {
-            crate::vector::pearson_slices(self, x, y);
-            return;
-        }
-        let len = x.len().min(y.len());
-        let step = crate::interrupt::CHECK_INTERVAL;
-        let mut start = 0;
-        while start < len {
-            if crate::interrupt::interrupted() {
-                return;
-            }
-            let end = (start + step).min(len);
-            for (a, b) in x[start..end].iter().zip(&y[start..end]) {
-                self.push(*a, *b);
-            }
-            crate::telemetry::record_morsel(end - start);
-            start = end;
-        }
+        crate::vector::pearson_slices(self, x, y);
     }
 
     /// Accumulate one pair; NaN on either side is skipped.

@@ -34,24 +34,11 @@ impl Histogram {
         Histogram { min, max, counts: vec![0; bins], underflow: 0, overflow: 0 }
     }
 
-    /// Build over a slice using its own extrema for the range.
-    ///
-    /// The extrema scan and the fill take the lane-parallel vector shape
-    /// when [`crate::vector::simd_enabled`].
+    /// Build over a slice using its own extrema for the range (one
+    /// lane-parallel [`crate::vector::minmax`] pass, then
+    /// [`Histogram::fill_slice`]).
     pub fn from_values(values: &[f64], bins: usize) -> Histogram {
-        let (min, max) = if crate::vector::simd_enabled() {
-            crate::vector::minmax(values)
-        } else {
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            for &v in values {
-                if v.is_finite() {
-                    min = min.min(v);
-                    max = max.max(v);
-                }
-            }
-            (min, max)
-        };
+        let (min, max) = crate::vector::minmax(values);
         let mut h = Histogram::new(min, max, bins);
         h.fill_slice(values);
         h
@@ -67,7 +54,17 @@ impl Histogram {
         self.min >= self.max
     }
 
-    /// Accumulate one value. Non-finite values are ignored.
+    /// Reciprocal of the bin width. Binning multiplies by it rather than
+    /// dividing by the width, in [`Histogram::push`] and the slice fill
+    /// alike, so both attribute values on bin boundaries identically.
+    #[inline]
+    pub(crate) fn inv_width(&self) -> f64 {
+        1.0 / ((self.max - self.min) / self.nbins() as f64)
+    }
+
+    /// Accumulate one value. Non-finite values are ignored. In-range
+    /// values are binned by `vector::bin_number`, the rule the slice fill
+    /// uses.
     #[inline]
     pub fn push(&mut self, value: f64) {
         if !value.is_finite() {
@@ -91,54 +88,21 @@ impl Histogram {
             self.overflow += 1;
             return;
         }
-        let width = (self.max - self.min) / self.nbins() as f64;
-        let mut idx = ((value - self.min) / width) as usize;
-        // The maximum falls into the last bin (right-closed final bin).
-        if idx >= self.nbins() {
-            idx = self.nbins() - 1;
-        }
+        let cap = (self.nbins() - 1) as f64;
+        let idx = crate::vector::bin_number(value, self.min, self.inv_width(), cap) as usize;
         self.counts[idx] += 1;
-    }
-
-    /// Accumulate many values. Polls the cooperative-interruption probe
-    /// every [`crate::interrupt::CHECK_INTERVAL`] values and bails early
-    /// when it fires (the partial grid is discarded by the scheduler).
-    pub fn extend<I: IntoIterator<Item = f64>>(&mut self, values: I) {
-        const MORSEL: usize = crate::interrupt::CHECK_INTERVAL;
-        let mut seen = 0usize;
-        for (i, v) in values.into_iter().enumerate() {
-            if i % MORSEL == 0 {
-                if crate::interrupt::interrupted() {
-                    return;
-                }
-                if i > 0 {
-                    crate::telemetry::record_morsel(MORSEL);
-                }
-            }
-            self.push(v);
-            seen = i + 1;
-        }
-        // The trailing (possibly partial) morsel reports after the loop.
-        if seen > 0 {
-            let tail = seen % MORSEL;
-            crate::telemetry::record_morsel(if tail == 0 { MORSEL } else { tail });
-        }
     }
 
     /// Accumulate a contiguous slice — the columnar-window entry point.
     ///
-    /// Dispatches to the vector fill (hoisted reciprocal binning, striped
-    /// counts — see [`crate::vector::histogram_fill`]) when
-    /// [`crate::vector::simd_enabled`], else to the scalar per-value loop
-    /// bit-identically to [`Histogram::extend`]. Both poll the
-    /// interruption probe and report morsel telemetry per
-    /// [`crate::interrupt::CHECK_INTERVAL`] values.
+    /// Runs the lane-parallel fill (hoisted reciprocal binning, striped
+    /// counts — see `vector::histogram_fill`), whose counts equal a
+    /// [`Histogram::push`] loop's. Polls the interruption probe and
+    /// reports morsel telemetry per [`crate::interrupt::CHECK_INTERVAL`]
+    /// values, bailing early when it fires (the partial grid is
+    /// discarded by the scheduler).
     pub fn fill_slice(&mut self, values: &[f64]) {
-        if crate::vector::simd_enabled() {
-            crate::vector::histogram_fill(self, values);
-        } else {
-            self.extend(values.iter().copied());
-        }
+        crate::vector::histogram_fill(self, values);
     }
 
     /// Merge a partial built over the identical bin grid.
@@ -210,9 +174,22 @@ mod tests {
     #[test]
     fn fills_bins() {
         let mut h = Histogram::new(0.0, 10.0, 5);
-        h.extend([0.0, 1.9, 2.0, 5.5, 9.9, 10.0]);
+        h.fill_slice(&[0.0, 1.9, 2.0, 5.5, 9.9, 10.0]);
         assert_eq!(h.counts, vec![2, 1, 1, 0, 2]);
         assert_eq!(h.total(), 6);
+    }
+
+    #[test]
+    fn boundary_value_uses_the_reciprocal_rule() {
+        // 0.3 / 0.1 rounds to 2.9999999999999996 but 0.3 * (1 / 0.1)
+        // to exactly 3.0: push and the slice fill both take the
+        // reciprocal rule, so 0.3 lands in bin 3 either way.
+        let mut pushed = Histogram::new(0.0, 1.0, 10);
+        pushed.push(0.3);
+        assert_eq!(pushed.counts[3], 1);
+        let mut filled = Histogram::new(0.0, 1.0, 10);
+        filled.fill_slice(&[0.3]);
+        assert_eq!(filled, pushed);
     }
 
     #[test]
@@ -262,13 +239,13 @@ mod tests {
         let data: Vec<f64> = (0..500).map(|i| (i % 97) as f64).collect();
         let whole = {
             let mut h = Histogram::new(0.0, 96.0, 20);
-            h.extend(data.iter().copied());
+            h.fill_slice(&data);
             h
         };
         let mut merged = Histogram::new(0.0, 96.0, 20);
         for chunk in data.chunks(123) {
             let mut part = Histogram::new(0.0, 96.0, 20);
-            part.extend(chunk.iter().copied());
+            part.fill_slice(chunk);
             merged.merge(&part);
         }
         assert_eq!(merged, whole);
@@ -299,7 +276,7 @@ mod tests {
     #[test]
     fn mode_bin_finds_peak() {
         let mut h = Histogram::new(0.0, 3.0, 3);
-        h.extend([0.5, 1.5, 1.6, 1.7, 2.5]);
+        h.fill_slice(&[0.5, 1.5, 1.6, 1.7, 2.5]);
         assert_eq!(h.mode_bin(), Some(1));
         assert_eq!(Histogram::new(0.0, 1.0, 2).mode_bin(), None);
     }

@@ -6,8 +6,6 @@
 //! columns by co-missingness. These kernels work on per-column null
 //! indicator vectors and are independent of the dataframe crate.
 
-use crate::corr::pearson;
-
 /// Per-column missing-rate summary for the bar chart.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MissingSummary {
@@ -77,31 +75,16 @@ pub fn missing_spectrum(columns: &[(String, Vec<bool>)], bins: usize) -> Missing
 /// indicators of column pairs (the Missingno heatmap).
 ///
 /// Columns with no nulls (or all nulls) have undefined correlation and
-/// yield `None` cells.
+/// yield `None` cells. On 0/1 indicators Pearson collapses to three
+/// popcounts per pair (`vector::bool_pearson`), so no float
+/// copy of the indicators is made.
 pub fn nullity_correlation(columns: &[(String, Vec<bool>)]) -> Vec<Vec<Option<f64>>> {
     let m = columns.len();
     let mut out = vec![vec![None; m]; m];
-    if crate::vector::simd_enabled() {
-        // Vector shape: on 0/1 indicators Pearson collapses to three
-        // popcounts per pair — no float materialization at all.
-        for i in 0..m {
-            out[i][i] = Some(1.0);
-            for j in (i + 1)..m {
-                let r = crate::vector::bool_pearson(&columns[i].1, &columns[j].1);
-                out[i][j] = r;
-                out[j][i] = r;
-            }
-        }
-        return out;
-    }
-    let indicators: Vec<Vec<f64>> = columns
-        .iter()
-        .map(|(_, nulls)| nulls.iter().map(|&b| if b { 1.0 } else { 0.0 }).collect())
-        .collect();
     for i in 0..m {
         out[i][i] = Some(1.0);
         for j in (i + 1)..m {
-            let r = pearson(&indicators[i], &indicators[j]);
+            let r = crate::vector::bool_pearson(&columns[i].1, &columns[j].1);
             out[i][j] = r;
             out[j][i] = r;
         }

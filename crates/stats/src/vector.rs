@@ -1,34 +1,25 @@
-//! Explicitly vectorizable kernel inner loops.
+//! The lane-parallel kernel inner loops behind every slice entry point.
 //!
-//! Every hot kernel in this crate has two shapes:
+//! [`crate::Moments::push_slice`], [`crate::Histogram::from_values`] /
+//! [`crate::Histogram::fill_slice`], [`crate::corr::PearsonPartial::push_slices`]
+//! and [`crate::missing::nullity_correlation`] all run the shapes in this
+//! module: chunked fixed-width loops over [`LANES`]-wide accumulator
+//! arrays with no cross-iteration dependency. The per-value updates
+//! (`Moments::push`, `Histogram::push`, `PearsonPartial::push`) stay as
+//! the streaming API and the reference the tests compare against.
 //!
-//! * the **scalar** shape — the original streaming update (Welford push,
-//!   per-value histogram binning), which is what default builds ship and
-//!   what the bit-identical golden tests pin; and
-//! * the **vector** shape in this module — chunked fixed-width loops over
-//!   [`LANES`]-wide accumulator arrays with no cross-iteration dependency,
-//!   which the autovectorizer provably turns into SIMD (the `eda-kernels`
-//!   microbench asserts the throughput floor), plus optional
-//!   `core::arch` AVX2 intrinsics behind the `simd` cargo feature with
-//!   runtime detection.
-//!
-//! The intrinsic and autovectorized paths are **bit-identical** to each
-//! other by construction: both perform the same IEEE operations on the
-//! same lane layout in the same order (Rust never contracts `mul`+`add`
-//! into FMA, comparisons use the same ordered predicates, and min/max are
-//! explicit compare-and-select in both), the scalar tail after the full
-//! 8-lane blocks is shared code, and the final lane reduction is a shared
-//! helper with a fixed association order. `tests/prop_kernels.rs`
-//! property-tests that equivalence, NaN/∞ columns included.
-//!
-//! The vector shape is only *used* by the public kernel entry points when
-//! the `simd` feature is compiled in **and** the process-wide
-//! [`set_force_scalar`] override (the `engine.simd = false` knob) is not
-//! set; default builds are untouched. The vector shape is always
-//! *compiled*, so benchmarks and property tests can compare both paths in
-//! any build.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! Each hot loop has two backends, chosen from what the CPU reports:
+//! `core::arch` AVX2 intrinsics on x86-64 when runtime detection finds
+//! AVX2, and an autovectorized fallback everywhere else. The two are
+//! **bit-identical** by construction: both perform the same IEEE
+//! operations on the same lane layout in the same order (Rust never
+//! contracts `mul`+`add` into FMA, comparisons use the same ordered
+//! predicates, and min/max are explicit compare-and-select in both), the
+//! scalar tail after the full 8-lane blocks is shared code, and the final
+//! lane reduction is a shared helper with a fixed association order. The
+//! tests at the bottom of this file check that equivalence on every
+//! value class; `tests/simd_equiv.rs` checks each entry point against
+//! its per-value reference loop.
 
 use crate::corr::PearsonPartial;
 use crate::histogram::Histogram;
@@ -43,45 +34,21 @@ pub const LANES: usize = 8;
 /// sub-block stays in L1 across the three accumulation passes.
 const SUB_BLOCK: usize = 1024;
 
-/// Process-wide override forcing the scalar kernel shapes even when the
-/// `simd` feature is compiled in. Set from the `engine.simd = false`
-/// knob; reads are a single relaxed load on the slice entry points.
-static FORCE_SCALAR: AtomicBool = AtomicBool::new(false);
-
-/// Force (or un-force) the scalar kernel shapes at runtime. `true`
-/// makes [`simd_enabled`] return `false` regardless of compile features.
-pub fn set_force_scalar(force: bool) {
-    FORCE_SCALAR.store(force, Ordering::Relaxed);
-}
-
-/// Whether the runtime scalar override is set.
-pub fn force_scalar() -> bool {
-    FORCE_SCALAR.load(Ordering::Relaxed)
-}
-
-/// Whether kernel entry points should take the vector shape: compiled
-/// with the `simd` feature and not runtime-forced to scalar. Constant
-/// `false` in default builds, so the branch folds away.
-#[inline]
-pub fn simd_enabled() -> bool {
-    cfg!(feature = "simd") && !force_scalar()
-}
-
-/// Whether the AVX2 intrinsic backends will be dispatched to (feature
-/// compiled in, x86-64, and the CPU reports AVX2). Informational — the
-/// fallback is bit-identical, so callers never need to branch on this.
+/// Whether the AVX2 intrinsic backends will be dispatched to (x86-64
+/// and the CPU reports AVX2). Informational — the fallback is
+/// bit-identical, so callers never need to branch on this.
 pub fn avx2_available() -> bool {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     {
         *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2"))
     }
-    #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+    #[cfg(not(target_arch = "x86_64"))]
     {
         false
     }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
 
 // ---------------------------------------------------------------------------
@@ -191,7 +158,7 @@ fn moment_blocks_fallback(blocks: &[f64], shift: f64, l: &mut MomentLanes) {
 /// Dispatch the lane passes: AVX2 intrinsics when detected, else the
 /// autovectorized fallback (bit-identical either way).
 fn moment_blocks(blocks: &[f64], shift: f64, l: &mut MomentLanes) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: `avx2_available` just confirmed the CPU supports the
         // target features this function is compiled with.
@@ -281,7 +248,7 @@ fn finish_moments(l: &MomentLanes, shift: f64) -> Moments {
 /// The result is a mergeable [`Moments`] partial: callers fold chunks
 /// together with [`Moments::merge`] (Pébay), which is exactly what the
 /// morsel engine does with per-morsel states.
-pub fn moments_chunk(values: &[f64]) -> Moments {
+pub(crate) fn moments_chunk(values: &[f64]) -> Moments {
     if values.is_empty() {
         return Moments::new();
     }
@@ -301,11 +268,10 @@ pub fn moments_chunk(values: &[f64]) -> Moments {
     finish_moments(&l, shift)
 }
 
-/// Vector-shape slice accumulation for [`Moments`]: per-chunk lane
-/// kernels merged with Pébay, polling the cooperative-interruption probe
-/// and reporting morsel telemetry at the same cadence as the scalar
-/// entry point.
-pub fn moments_slice(m: &mut Moments, values: &[f64]) {
+/// Slice accumulation for [`Moments`]: per-chunk lane kernels merged
+/// with Pébay, polling the cooperative-interruption probe and reporting
+/// morsel telemetry once per [`crate::interrupt::CHECK_INTERVAL`] chunk.
+pub(crate) fn moments_slice(m: &mut Moments, values: &[f64]) {
     for chunk in values.chunks(crate::interrupt::CHECK_INTERVAL) {
         if crate::interrupt::interrupted() {
             return;
@@ -334,7 +300,7 @@ fn minmax_blocks_fallback(blocks: &[f64], mn: &mut [f64; LANES], mx: &mut [f64; 
 }
 
 fn minmax_blocks(blocks: &[f64], mn: &mut [f64; LANES], mx: &mut [f64; LANES]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: AVX2 support was just confirmed by `avx2_available`.
         unsafe { x86::minmax_blocks_avx2(blocks, mn, mx) };
@@ -375,25 +341,19 @@ const HIST_BLOCK: usize = 1024;
 /// Count-array stripes for the scatter pass.
 const HIST_STRIPES: usize = 4;
 
-/// Vector-shape histogram fill.
+/// Lane-parallel histogram fill.
 ///
-/// Differences from the scalar [`Histogram::push`] loop, both gated
-/// behind the `simd` feature:
-///
-/// * the bin width and its reciprocal are hoisted out of the loop, and
-///   the bin index is `(v - min) * inv_width` instead of
-///   `(v - min) / width`. For power-of-two widths the two are identical;
-///   for other widths a value mathematically *on* a bin boundary can
-///   round into the neighboring bin. Counts still partition the data and
-///   merge exactly — only boundary attribution can shift by one bin.
-/// * out-of-range and non-finite values are classified branchlessly into
-///   sentinel bins and folded into `underflow`/`overflow` at the end.
+/// Bins every value by the same rule as [`Histogram::push`]
+/// (`bin_number` with the grid's hoisted `Histogram::inv_width`), so
+/// the counts equal a per-value push loop's exactly. Out-of-range and
+/// non-finite values are classified branchlessly into sentinel bins and
+/// folded into `underflow`/`overflow` at the end.
 ///
 /// Polls the interruption probe / reports telemetry per
 /// [`crate::interrupt::CHECK_INTERVAL`] chunk like every slice kernel.
-pub fn histogram_fill(h: &mut Histogram, values: &[f64]) {
+pub(crate) fn histogram_fill(h: &mut Histogram, values: &[f64]) {
     if h.is_degenerate() {
-        // Degenerate grids are compare-only; reuse the scalar path.
+        // Degenerate grids are compare-only; reuse the per-value path.
         for chunk in values.chunks(crate::interrupt::CHECK_INTERVAL) {
             if crate::interrupt::interrupted() {
                 return;
@@ -408,8 +368,7 @@ pub fn histogram_fill(h: &mut Histogram, values: &[f64]) {
     let nbins = h.nbins();
     let min = h.min;
     let max = h.max;
-    let width = (max - min) / nbins as f64;
-    let inv_width = 1.0 / width;
+    let inv_width = h.inv_width();
     // Sentinels: nbins = overflow, nbins+1 = underflow, nbins+2 = dropped
     // (non-finite). One stripe-set of u64 counts covers all of them.
     let stride = nbins + 3;
@@ -438,7 +397,7 @@ pub fn histogram_fill(h: &mut Histogram, values: &[f64]) {
 /// index of every element is identical (see [`x86::hist_chunk_avx2`]),
 /// and the striped counts fold into the same histogram either way.
 fn hist_chunk(chunk: &[f64], min: f64, max: f64, inv_width: f64, nbins: usize, stripes: &mut [u64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: `avx2_available` just confirmed the CPU supports the
         // target features this function is compiled with.
@@ -491,20 +450,29 @@ fn hist_chunk_fallback(
     }
 }
 
-/// Branchless fallback classify: clamp the bin number in the f64 domain
-/// (compare-and-select, not `f64::clamp`), truncate once to `u32`
-/// (packed `cvttpd2dq` — the original version's early `as usize` has no
-/// packed form before AVX-512 and kept the whole pass scalar), then
-/// resolve the sentinels with integer selects.
+/// The one histogram bin rule, shared by [`Histogram::push`] and the
+/// lane fill: the bin number `(v - min) * inv_width`, clamped to
+/// `[0, cap]` in the f64 domain (compare-and-select, not `f64::clamp`)
+/// and truncated once to `u32` (packed `cvttpd2dq` in the fill — an
+/// early `as usize` has no packed form before AVX-512). The clamp puts
+/// the maximum, and anything rounding past the last edge, in the last
+/// bin.
+#[inline(always)]
+pub(crate) fn bin_number(v: f64, min: f64, inv_width: f64, cap: f64) -> u32 {
+    let t = (v - min) * inv_width;
+    let t = if t > cap { cap } else { t };
+    let t = if t < 0.0 { 0.0 } else { t };
+    t as u32
+}
+
+/// Branchless fallback classify: [`bin_number`] for every value, then
+/// the sentinels resolved with integer selects.
 fn classify_fallback(block: &[f64], min: f64, max: f64, inv_width: f64, nbins: usize, idx: &mut [u32]) {
     let cap = (nbins - 1) as f64;
     let of = nbins as u32;
     // eda-lint: allow(EDA-L6) classifies one HIST_BLOCK block
     for (dst, &v) in idx.iter_mut().zip(block) {
-        let t = (v - min) * inv_width;
-        let t = if t > cap { cap } else { t };
-        let t = if t < 0.0 { 0.0 } else { t };
-        let q = t as u32;
+        let q = bin_number(v, min, inv_width, cap);
         let q = if v > max { of } else { q };
         let q = if v < min { of + 1 } else { q };
         let q = if v.is_finite() { q } else { of + 2 };
@@ -520,7 +488,7 @@ fn classify_fallback(block: &[f64], min: f64, max: f64, inv_width: f64, nbins: u
 ///
 /// Pairs with NaN on either side contribute nothing, matching
 /// [`PearsonPartial::push`].
-pub fn pearson_chunk(x: &[f64], y: &[f64]) -> PearsonPartial {
+pub(crate) fn pearson_chunk(x: &[f64], y: &[f64]) -> PearsonPartial {
     let len = x.len().min(y.len());
     let (x, y) = (&x[..len], &y[..len]);
     if len == 0 {
@@ -577,9 +545,9 @@ pub fn pearson_chunk(x: &[f64], y: &[f64]) -> PearsonPartial {
     PearsonPartial::from_raw(n, mean_x, mean_y, m2x, m2y, cxy)
 }
 
-/// Vector-shape paired-slice accumulation for [`PearsonPartial`], with
-/// the standard interruption/telemetry cadence.
-pub fn pearson_slices(p: &mut PearsonPartial, x: &[f64], y: &[f64]) {
+/// Paired-slice accumulation for [`PearsonPartial`], with the standard
+/// interruption/telemetry cadence.
+pub(crate) fn pearson_slices(p: &mut PearsonPartial, x: &[f64], y: &[f64]) {
     let len = x.len().min(y.len());
     let step = crate::interrupt::CHECK_INTERVAL;
     let mut start = 0;
@@ -608,7 +576,7 @@ pub fn pearson_slices(p: &mut PearsonPartial, x: &[f64], y: &[f64]) {
 pub fn count_joint(a: &[bool], b: &[bool]) -> (u64, u64, u64) {
     let len = a.len().min(b.len());
     let (a, b) = (&a[..len], &b[..len]);
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if avx2_available() {
         // SAFETY: `avx2_available` just confirmed the CPU supports the
         // target features this function is compiled with.
@@ -650,8 +618,8 @@ fn count_joint_fallback(a: &[bool], b: &[bool]) -> (u64, u64, u64) {
 
 /// Pearson correlation of two boolean indicator columns from exact joint
 /// counts (the φ coefficient), routed through the same
-/// [`PearsonPartial::finish`] degeneracy rules as the scalar path.
-pub fn bool_pearson(a: &[bool], b: &[bool]) -> Option<f64> {
+/// [`PearsonPartial::finish`] degeneracy rules as [`crate::pearson`].
+pub(crate) fn bool_pearson(a: &[bool], b: &[bool]) -> Option<f64> {
     let len = a.len().min(b.len()) as u64;
     if len == 0 {
         return None;
@@ -669,7 +637,7 @@ pub fn bool_pearson(a: &[bool], b: &[bool]) -> Option<f64> {
 // AVX2 intrinsic backends
 // ---------------------------------------------------------------------------
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 mod x86 {
     //! AVX2 backends for the lane passes. Each function performs the
     //! exact IEEE operation sequence of its fallback twin on the same
@@ -1159,17 +1127,23 @@ mod tests {
     }
 
     #[test]
-    fn histogram_fill_power_of_two_width_matches_scalar() {
-        // Width 128/16 = 8 = 2^3: reciprocal multiply is exact, so the
-        // vector fill must match the scalar push loop bin-for-bin.
-        let vals: Vec<f64> = (0..3000).map(|i| ((i * 37) % 160) as f64 - 16.0).collect();
-        let mut scalar = Histogram::new(0.0, 128.0, 16);
-        for &v in &vals {
-            scalar.push(v);
+    fn histogram_fill_matches_push() {
+        // One bin rule: the fill must match the per-value push loop
+        // bin-for-bin on any width, boundary values included (tenths on
+        // a 0.1-wide grid land exactly on edges).
+        let grids = [(0.0, 128.0, 16), (0.0, 1.0, 10), (-40.0, 59.0, 13)];
+        let mut vals: Vec<f64> = (0..3000).map(|i| ((i * 37) % 160) as f64 - 16.0).collect();
+        vals.extend((0..=110).map(|i| f64::from(i) / 10.0 - 0.05 * f64::from(i % 3)));
+        vals.extend(data(1000));
+        for (min, max, bins) in grids {
+            let mut pushed = Histogram::new(min, max, bins);
+            for &v in &vals {
+                pushed.push(v);
+            }
+            let mut filled = Histogram::new(min, max, bins);
+            histogram_fill(&mut filled, &vals);
+            assert_eq!(filled, pushed, "grid [{min}, {max}] x {bins}");
         }
-        let mut vector = Histogram::new(0.0, 128.0, 16);
-        histogram_fill(&mut vector, &vals);
-        assert_eq!(vector, scalar);
     }
 
     #[test]
@@ -1237,20 +1211,14 @@ mod tests {
         assert_eq!(bool_pearson(&[true; 10], &a[..10]), None);
     }
 
-    #[test]
-    fn force_scalar_round_trip() {
-        assert!(!force_scalar());
-        set_force_scalar(true);
-        assert!(!simd_enabled());
-        set_force_scalar(false);
-        assert_eq!(simd_enabled(), cfg!(feature = "simd"));
-    }
-
-    #[cfg(feature = "simd")]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn avx2_bit_identical_to_fallback() {
-        // The dispatch test: run the block passes both ways on data with
-        // every value class and require exact equality of all lanes.
+        // Run the block passes on both backends on data with every value
+        // class and require exact equality of all lanes.
+        if !avx2_available() {
+            return;
+        }
         let mut vals = data(4096);
         vals[3] = f64::NAN;
         vals[100] = f64::INFINITY;
@@ -1261,7 +1229,8 @@ mod tests {
         let mut lf = MomentLanes::new();
         moment_blocks_fallback(&vals, shift, &mut lf);
         let mut ld = MomentLanes::new();
-        moment_blocks(&vals, shift, &mut ld);
+        // SAFETY: AVX2 support was confirmed above.
+        unsafe { x86::moment_blocks_avx2(&vals, shift, &mut ld) };
         let mf = finish_moments(&lf, shift);
         let md = finish_moments(&ld, shift);
         assert_eq!(mf, md);
@@ -1271,14 +1240,18 @@ mod tests {
         minmax_blocks_fallback(&vals, &mut mn_f, &mut mx_f);
         let mut mn_d = [f64::INFINITY; LANES];
         let mut mx_d = [f64::NEG_INFINITY; LANES];
-        minmax_blocks(&vals, &mut mn_d, &mut mx_d);
+        // SAFETY: AVX2 support was confirmed above.
+        unsafe { x86::minmax_blocks_avx2(&vals, &mut mn_d, &mut mx_d) };
         assert_eq!(mn_f, mn_d);
         assert_eq!(mx_f, mx_d);
     }
 
-    #[cfg(feature = "simd")]
+    #[cfg(target_arch = "x86_64")]
     #[test]
     fn hist_and_joint_avx2_bit_identical_to_fallback() {
+        if !avx2_available() {
+            return;
+        }
         // Histogram: a grid narrower than the data range so every path
         // fires (in-range fast path, underflow, overflow, non-finite),
         // on an odd length so both tail shapes run. The stripes fold to
@@ -1297,15 +1270,18 @@ mod tests {
             (0..stride).map(|b| (0..HIST_STRIPES).map(|s| stripes[s * stride + b]).sum()).collect()
         };
         let mut sd = vec![0u64; stride * HIST_STRIPES];
-        hist_chunk(&vals, min, max, inv_width, nbins, &mut sd);
+        // SAFETY: AVX2 support was confirmed above.
+        unsafe { x86::hist_chunk_avx2(&vals, min, max, inv_width, nbins, &mut sd) };
         let mut sf = vec![0u64; stride * HIST_STRIPES];
         hist_chunk_fallback(&vals, min, max, inv_width, nbins, &mut sf);
         assert_eq!(fold(&sd), fold(&sf));
         assert_eq!(fold(&sd).iter().sum::<u64>(), vals.len() as u64);
 
-        // Joint nullity counts are exact integers: dispatch == fallback.
+        // Joint nullity counts are exact integers: AVX2 == fallback.
         let a: Vec<bool> = (0..997).map(|i| i % 3 == 0).collect();
         let b: Vec<bool> = (0..997).map(|i| i * 7 % 5 != 0).collect();
-        assert_eq!(count_joint(&a, &b), count_joint_fallback(&a, &b));
+        // SAFETY: AVX2 support was confirmed above.
+        let avx2 = unsafe { x86::count_joint_avx2(&a, &b) };
+        assert_eq!(avx2, count_joint_fallback(&a, &b));
     }
 }

@@ -91,11 +91,11 @@ proptest! {
         let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
         let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let mut whole = Histogram::new(lo, hi, bins);
-        whole.extend(values.iter().copied());
+        whole.fill_slice(&values);
         let mut a = Histogram::new(lo, hi, bins);
-        a.extend(values[..cut].iter().copied());
+        a.fill_slice(&values[..cut]);
         let mut b = Histogram::new(lo, hi, bins);
-        b.extend(values[cut..].iter().copied());
+        b.fill_slice(&values[cut..]);
         a.merge(&b);
         prop_assert_eq!(a, whole);
     }

@@ -7,6 +7,11 @@
 //! pair with fewer than two complete rows). `tests/golden/corr_matrices.txt`
 //! holds the pinned bits; no tolerance is applied anywhere.
 //!
+//! Pearson (and Spearman, which is Pearson over ranks) sums in the
+//! fixed lane order of the slice kernels. Pearson cells against the
+//! hostile `infs` column are undefined (`-`): its infinite power sums
+//! leave no finite variance, the same rule as a zero-variance column.
+//!
 //! The bits were captured from the merge-sort Kendall implementation
 //! that preceded the integer-rank kernel. Four hostile Kendall cells
 //! (`zeros`×`infs`, `zeros`×`sparse_a`, `zeros`×`sparse_b`,
@@ -113,11 +118,11 @@ fn golden(frame: &str) -> String {
     out
 }
 
-/// Cache off so every run computes. The pinned bits are those of the
-/// scalar kernels default builds run: `simd`-feature builds sum Pearson
-/// in lanes, in another order, unless `engine.simd` is off.
+/// Cache off so every run computes. Pearson (and Spearman, Pearson over
+/// ranks) cells are summed in the lane kernels' fixed order, so their
+/// bits are the same on every backend.
 fn config(pairs: &[(&str, &str)]) -> Config {
-    let mut all = vec![("engine.cache_budget_bytes", "0"), ("engine.simd", "false")];
+    let mut all = vec![("engine.cache_budget_bytes", "0")];
     all.extend_from_slice(pairs);
     Config::from_pairs(all).expect("valid config")
 }
