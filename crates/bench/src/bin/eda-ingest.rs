@@ -1,8 +1,9 @@
 //! `eda-ingest` — the ingestion benchmark behind `BENCH_ingest.json`.
 //!
-//! Measures the chunked-parallel CSV pipeline against the sequential
-//! single-pass reader on the same synthetic file, plus the two claims
-//! the `.edaf` columnar format makes:
+//! Measures the chunked-parallel CSV pipeline against the one-chunk
+//! sequential reader (`eda_dataframe::csv::read_csv`) on the same
+//! synthetic file, plus the two claims the `.edaf` columnar format
+//! makes:
 //!
 //!   1. **Throughput** — rows/sec sequential vs parallel (8 workers,
 //!      chunk budget = file/8 so the file is well beyond 4× one chunk).
@@ -26,6 +27,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use eda_bench::{arg_f64, arg_flag, arg_str, machine_context, measure, peak_rss_bytes, print_table};
+use eda_dataframe::csv::read_csv;
 use eda_io::{fold_csv, read_csv_chunked, read_edaf_columns, write_edaf, IngestOptions};
 
 /// Counting allocator: tracks the live set and a resettable high-water
@@ -155,12 +157,11 @@ fn main() {
     println!("{}", machine_context());
     println!();
 
-    let seq_opts = IngestOptions { chunk_bytes: 0, workers: 1, ..IngestOptions::default() };
     let par_opts = IngestOptions { chunk_bytes, workers, ..IngestOptions::default() };
 
     // Correctness gate before timing anything: chunked-parallel must be
     // bit-identical (logical content fingerprint) to sequential.
-    let seq_frame = read_csv_chunked(&csv_path, &seq_opts).expect("sequential read");
+    let seq_frame = read_csv(&csv_path).expect("sequential read");
     let par_frame = read_csv_chunked(&csv_path, &par_opts).expect("parallel read");
     assert_eq!(seq_frame, par_frame, "parallel ingest must equal sequential");
     assert_eq!(
@@ -170,12 +171,12 @@ fn main() {
     );
     drop(par_frame);
 
-    // Stage 1: sequential single-pass load.
+    // Stage 1: sequential one-chunk load.
     let live = reset_peak();
     let mut seq_time = Duration::MAX;
     let mut seq_peak = 0usize;
     for i in 0..ITERS {
-        let (out, t) = measure(|| read_csv_chunked(&csv_path, &seq_opts).expect("seq read"));
+        let (out, t) = measure(|| read_csv(&csv_path).expect("seq read"));
         if i == 0 {
             seq_peak = stage_peak(live);
         }

@@ -139,8 +139,7 @@ fn fill_matrix(method: CorrMethod, labels: Vec<String>, preps: &[&ColumnPrep]) -
     let values = morsel::run_rows(pairs.len(), rows * PAIR_ROW_BYTES, compute, |mut a, b| {
         a.extend(b);
         a
-    })
-    .unwrap_or_else(|| compute(0..pairs.len()));
+    });
     // A cancelled fill may come back short; the scheduler discards it.
     let mut cells = vec![None; m * m];
     for i in 0..m {

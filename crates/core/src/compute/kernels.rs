@@ -128,12 +128,7 @@ pub fn moments(ctx: &mut ComputeContext<'_>, column: &str, drop: Option<&str>) -
                             a.merge(&b);
                             a
                         },
-                    )
-                    .unwrap_or_else(|| {
-                        let mut whole = Moments::new();
-                        whole.push_slice(vals);
-                        whole
-                    });
+                    );
                 }
                 None => c.for_each_numeric(|v| m.push(v)).expect("numeric"),
             }
@@ -240,22 +235,21 @@ pub fn histogram_with_range(
                 match all_valid_f64(c) {
                     // Counts are integers, so the morsel merge is exact:
                     // splitting cannot change the histogram.
-                    Some(vals) => match morsel::run_rows(
-                        vals.len(),
-                        std::mem::size_of::<f64>(),
-                        |r| {
-                            let mut part = Histogram::new(mom.min, mom.max, bins);
-                            part.fill_slice(&vals[r]);
-                            part
-                        },
-                        |mut a, b| {
-                            a.merge(&b);
-                            a
-                        },
-                    ) {
-                        Some(filled) => h = filled,
-                        None => h.fill_slice(vals),
-                    },
+                    Some(vals) => {
+                        h = morsel::run_rows(
+                            vals.len(),
+                            std::mem::size_of::<f64>(),
+                            |r| {
+                                let mut part = Histogram::new(mom.min, mom.max, bins);
+                                part.fill_slice(&vals[r]);
+                                part
+                            },
+                            |mut a, b| {
+                                a.merge(&b);
+                                a
+                            },
+                        );
+                    }
                     None => c.for_each_numeric(|v| h.push(v)).expect("numeric"),
                 }
                 pl(h)
@@ -358,12 +352,7 @@ pub fn pearson_partial(ctx: &mut ComputeContext<'_>, x: &str, y: &str) -> NodeId
                             a.merge(&b);
                             a
                         },
-                    )
-                    .unwrap_or_else(|| {
-                        let mut whole = PearsonPartial::new();
-                        whole.push_slices(xs, ys);
-                        whole
-                    });
+                    );
                 }
                 _ => {
                     let xs = cx.numeric_iter().expect("numeric");

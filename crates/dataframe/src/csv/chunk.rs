@@ -1,21 +1,24 @@
-//! Chunk-granular CSV parsing: the pure (no I/O, no threads) substrate of
-//! the parallel out-of-core reader in `eda-io`.
+//! Chunk-granular CSV parsing: the one CSV parser of the workspace.
+//! [`super::read_csv_str`] runs it over its whole input as a single
+//! chunk; the parallel out-of-core reader in `eda-io` runs it once per
+//! chunk on the worker pool.
 //!
 //! The pipeline splits into three phases, each implemented here so the
 //! orchestrator only moves bytes and schedules tasks:
 //!
-//! 1. **Boundary scan** ([`BoundaryScanner`] / [`chunk_specs`]): a single
-//!    streaming pass over raw bytes that tracks RFC-4180 quote parity and
-//!    cuts the stream into ~`chunk_bytes` spans that always end on a
-//!    record boundary — a quoted embedded newline never splits a record
-//!    across chunks. Memory is O(#chunks): only `(offset, len,
-//!    first_record)` triples are retained, never the bytes.
-//! 2. **Per-chunk parse** ([`parse_chunk`]): the sequential reader's
-//!    two-pass algorithm applied to one chunk — parse records to raw
-//!    fields (retained only for the chunk's lifetime), widen a
-//!    caller-supplied schema hint when fields contradict it, then build
-//!    typed columns. Chunks are independent, so this is what the worker
-//!    pool parallelizes. Errors carry absolute 1-based record numbers and
+//! 1. **Boundary scan** ([`BoundaryScanner`]): a single streaming pass
+//!    over raw bytes that tracks RFC-4180 quote parity and cuts the
+//!    stream into ~`chunk_bytes` spans that always end on a record
+//!    boundary — a quoted embedded newline never splits a record across
+//!    chunks. The same pass records where the type-inference sample
+//!    (header + `infer_rows` records) ends. Memory is O(#chunks): only
+//!    `(offset, len, first_record)` triples are retained, never the
+//!    bytes.
+//! 2. **Per-chunk parse** ([`parse_chunk`]): parse records to raw fields
+//!    (retained only for the chunk's lifetime), widen a caller-supplied
+//!    schema hint when fields contradict it, then build typed columns.
+//!    Chunks are independent, so this is what the worker pool
+//!    parallelizes. Errors carry absolute 1-based record numbers and
 //!    absolute byte offsets, rebased from `chunk_offset`.
 //! 3. **Fold** ([`global_schema`], [`cast_int_to_float`],
 //!    [`reparse_chunk_column_str`]): per-column chunk results are joined
@@ -26,11 +29,10 @@
 //!    field text ("widening repair") — rare, bounded to the affected
 //!    chunks and column.
 //!
-//! Determinism: for a fixed input the frame produced via any chunking
-//! (including one chunk) is bit-identical to [`super::read_csv_str`],
-//! provided the schema hint is sampled from the same leading
-//! `infer_rows` records — see `global_schema` for why the widening join
-//! is chunking-invariant.
+//! Determinism: for a fixed input the frame produced via any chunking is
+//! bit-identical to the one-chunk [`super::read_csv_str`], provided the
+//! schema hint is sampled from the same leading `infer_rows` records —
+//! see `global_schema` for why the widening join is chunking-invariant.
 
 use crate::builder::ColumnBuilder;
 use crate::column::Column;
@@ -59,10 +61,11 @@ pub struct ChunkSpec {
 ///
 /// Feed the byte stream in arbitrary blocks; the scanner emits
 /// [`ChunkSpec`]s whose spans end at the first record boundary at or past
-/// the `chunk_bytes` budget. State is O(1): quote parity, a record
-/// counter, and the current chunk's start. Works on raw bytes — UTF-8
-/// validation happens later, per chunk (safe because `"` and `\n` are
-/// ASCII and UTF-8 continuation bytes never collide with ASCII).
+/// the `chunk_bytes` budget, and records where the type-inference sample
+/// ends ([`BoundaryScanner::sample_len`]). State is O(1): quote parity, a
+/// record counter, and the current chunk's start. Works on raw bytes —
+/// UTF-8 validation happens later, per chunk (safe because `"` and `\n`
+/// are ASCII and UTF-8 continuation bytes never collide with ASCII).
 #[derive(Debug)]
 pub struct BoundaryScanner {
     chunk_bytes: usize,
@@ -72,12 +75,17 @@ pub struct BoundaryScanner {
     records_done: usize,
     chunk_start: u64,
     chunk_first_record: usize,
+    /// Records in the type-inference sample (header + `infer_rows`).
+    sample_records: usize,
+    /// Where the sample's last record ends, once the scan has passed it.
+    sample_end: Option<u64>,
 }
 
 impl BoundaryScanner {
     /// A scanner cutting chunks of at least `chunk_bytes` bytes
-    /// (clamped to ≥ 1).
-    pub fn new(chunk_bytes: usize) -> Self {
+    /// (clamped to ≥ 1) and locating the leading sample records that
+    /// [`sample_schema`] infers the schema from under `opts`.
+    pub fn new(chunk_bytes: usize, opts: &CsvOptions) -> Self {
         BoundaryScanner {
             chunk_bytes: chunk_bytes.max(1),
             pos: 0,
@@ -85,12 +93,17 @@ impl BoundaryScanner {
             records_done: 0,
             chunk_start: 0,
             chunk_first_record: 1,
+            // A headerless sample still needs one record to count columns.
+            sample_records: (usize::from(opts.has_header) + opts.infer_rows).max(1),
+            sample_end: None,
         }
     }
 
-    /// Total bytes fed so far.
-    pub fn bytes_seen(&self) -> u64 {
-        self.pos
+    /// Byte length of the sample prefix (whole records), or `None` while
+    /// the scan has not yet passed its last record. A stream that ends
+    /// first is its own sample.
+    pub fn sample_len(&self) -> Option<u64> {
+        self.sample_end
     }
 
     /// Scan the next block of the stream, appending any completed chunks.
@@ -101,6 +114,9 @@ impl BoundaryScanner {
                 b'"' => self.in_quotes = !self.in_quotes,
                 b'\n' if !self.in_quotes => {
                     self.records_done += 1;
+                    if self.records_done == self.sample_records {
+                        self.sample_end = Some(self.pos);
+                    }
                     if self.pos - self.chunk_start >= self.chunk_bytes as u64 {
                         self.close_chunk(self.pos, out);
                     }
@@ -131,13 +147,24 @@ impl BoundaryScanner {
     }
 }
 
-/// Chunk an in-memory byte slice in one call (mmap / `&str` sources).
-pub fn chunk_specs(bytes: &[u8], chunk_bytes: usize) -> Vec<ChunkSpec> {
-    let mut out = Vec::new();
-    let mut scanner = BoundaryScanner::new(chunk_bytes);
-    scanner.feed(bytes, &mut out);
-    scanner.finish(&mut out);
-    out
+/// Block size for [`sample_text`]'s scan: it stops within one block of
+/// the sample's end.
+const SAMPLE_SCAN_BLOCK: usize = 64 * 1024;
+
+/// The leading sample records of in-memory `text` (all of `text` if it
+/// holds fewer), cut by a [`BoundaryScanner`] that stops once it passes
+/// the sample's end.
+pub fn sample_text<'a>(text: &'a str, opts: &CsvOptions) -> &'a str {
+    let mut scanner = BoundaryScanner::new(usize::MAX, opts);
+    let mut no_chunks = Vec::new();
+    for block in text.as_bytes().chunks(SAMPLE_SCAN_BLOCK) {
+        scanner.feed(block, &mut no_chunks);
+        if let Some(end) = scanner.sample_len() {
+            // The cut follows a `\n`, so it is a char boundary.
+            return text.get(..end as usize).unwrap_or(text);
+        }
+    }
+    text
 }
 
 /// Typed columns parsed from one chunk, at the chunk's (possibly still
@@ -157,10 +184,10 @@ pub struct ParsedChunk {
 /// record boundary) and should contain the header plus up to
 /// `opts.infer_rows` data records; extra records are ignored.
 ///
-/// Matches the sequential reader exactly: the schema is inferred from the
-/// first `infer_rows` data records regardless of where chunk boundaries
-/// later fall, which is what makes the final widened schema (and thus the
-/// output frame) independent of the chunking.
+/// The schema is inferred from the first `infer_rows` data records
+/// regardless of where chunk boundaries later fall, which is what makes
+/// the final widened schema (and thus the output frame) independent of
+/// the chunking.
 pub fn sample_schema(sample_text: &str, opts: &CsvOptions) -> Result<(Vec<String>, Vec<DataType>)> {
     let records = split_records_offsets(sample_text);
     let Some(&(_, first)) = records.first() else {
@@ -214,7 +241,8 @@ pub fn parse_chunk(
     // fields live only for this chunk.
     let mut dtypes: Vec<DataType> = hint.to_vec();
     dtypes.resize(ncols, DataType::Str);
-    let mut raw_columns: Vec<Vec<Option<String>>> = vec![Vec::with_capacity(data.len()); ncols];
+    let mut raw_columns: Vec<Vec<Option<String>>> =
+        (0..ncols).map(|_| Vec::with_capacity(data.len())).collect();
     for (i, (rec_off, rec)) in data.iter().enumerate() {
         let line = first_data_record + i;
         let row = parse_line(rec, opts.separator, line)?;
@@ -263,8 +291,8 @@ pub fn parse_chunk(
 
 /// Join of per-chunk schemas: the widened global schema. Because
 /// [`widen`] is an associative, commutative, idempotent join on the
-/// bool → i64 → f64 → str lattice, the result equals the sequential
-/// reader's schema (hint joined with every field's type) for any
+/// bool → i64 → f64 → str lattice, the result equals the one-chunk
+/// schema (hint joined with every field's type) for any
 /// chunking — this is the invariant behind the bit-identical guarantee.
 pub fn global_schema(hint: &[DataType], chunk_dtypes: &[Vec<DataType>]) -> Vec<DataType> {
     let mut global = hint.to_vec();
@@ -287,7 +315,7 @@ pub fn needs_text_repair(have: DataType, want: DataType) -> bool {
 
 /// Numeric i64 → f64 promotion, preserving validity. `v as f64` rounds
 /// half-to-even exactly like parsing the original integer literal as a
-/// float, so this is bit-identical to the sequential reader's output.
+/// float, so this is bit-identical to the one-chunk parse.
 pub fn cast_int_to_float(col: &Column) -> Column {
     let vals: Vec<f64> = match col.i64_values() {
         Some(ints) => ints.iter().map(|&v| v as f64).collect(),
@@ -337,7 +365,15 @@ pub fn reparse_chunk_column_str(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::csv::read_csv_str;
+
+    /// Chunk an in-memory byte slice in one call.
+    fn chunk_specs(bytes: &[u8], chunk_bytes: usize) -> Vec<ChunkSpec> {
+        let mut out = Vec::new();
+        let mut scanner = BoundaryScanner::new(chunk_bytes, &CsvOptions::default());
+        scanner.feed(bytes, &mut out);
+        scanner.finish(&mut out);
+        out
+    }
 
     fn specs_cover(text: &str, specs: &[ChunkSpec]) {
         let mut pos = 0u64;
@@ -382,7 +418,7 @@ mod tests {
         let whole = chunk_specs(text.as_bytes(), 4);
         for block in 1..6 {
             let mut out = Vec::new();
-            let mut sc = BoundaryScanner::new(4);
+            let mut sc = BoundaryScanner::new(4, &CsvOptions::default());
             for chunk in text.as_bytes().chunks(block) {
                 sc.feed(chunk, &mut out);
             }
@@ -401,18 +437,15 @@ mod tests {
     }
 
     #[test]
-    fn parse_chunk_matches_sequential_on_single_chunk() {
-        let text = "a,b,c\n1,x,true\n2.5,y,false\n,z,\n";
-        let opts = CsvOptions::default();
-        let (names, hint) = sample_schema(text, &opts).unwrap();
-        let parsed = parse_chunk(text, 0, 1, true, &hint, &names, &opts).unwrap();
-        let seq = read_csv_str(text, &opts).unwrap();
-        assert_eq!(parsed.nrows, seq.nrows());
-        for (c, name) in names.iter().enumerate() {
-            let col = seq.column(name).unwrap();
-            assert_eq!(parsed.dtypes[c], col.dtype());
-            assert_eq!(parsed.columns[c].content_fingerprint(), col.content_fingerprint());
-        }
+    fn sample_cut_counts_whole_records() {
+        let text = "h\n\"x\ny\"\nb\nc";
+        let two = CsvOptions { infer_rows: 2, ..CsvOptions::default() };
+        // The quoted newline does not end a record.
+        assert_eq!(sample_text(text, &two), "h\n\"x\ny\"\nb\n");
+        let many = CsvOptions { infer_rows: 10, ..CsvOptions::default() };
+        assert_eq!(sample_text(text, &many), text);
+        let headerless = CsvOptions { has_header: false, infer_rows: 0, ..CsvOptions::default() };
+        assert_eq!(sample_text(text, &headerless), "h\n");
     }
 
     #[test]

@@ -14,6 +14,6 @@ mod writer;
 pub mod chunk;
 
 pub use infer::{infer_dtype, infer_schema, is_null_field, widen};
-pub use parser::{parse_line, split_records, split_records_offsets};
+pub use parser::{parse_line, split_records_offsets};
 pub use reader::{read_csv, read_csv_str, utf8_error, CsvOptions};
 pub use writer::{write_csv, write_csv_string};

@@ -7,16 +7,11 @@ use crate::error::{Error, Result};
 
 /// Split raw CSV text into logical records, respecting quoted newlines.
 ///
-/// Returns byte ranges into `text`, one per record, excluding the line
-/// terminator. Both `\n` and `\r\n` are accepted. A trailing newline does
+/// Returns one `(offset, record)` pair per record: the record's text
+/// excluding the line terminator, and the byte offset of its first byte
+/// within `text`, so chunk parses can report absolute file positions in
+/// errors. Both `\n` and `\r\n` are accepted. A trailing newline does
 /// not produce an empty final record.
-pub fn split_records(text: &str) -> Vec<&str> {
-    split_records_offsets(text).into_iter().map(|(_, r)| r).collect()
-}
-
-/// Like [`split_records`], but each record carries the byte offset of its
-/// first byte within `text`, so callers (notably the chunked reader) can
-/// report absolute file positions in errors.
 pub fn split_records_offsets(text: &str) -> Vec<(u64, &str)> {
     let bytes = text.as_bytes();
     let mut records = Vec::new();
@@ -115,19 +110,19 @@ mod tests {
 
     #[test]
     fn split_simple_lines() {
-        assert_eq!(split_records("a,b\nc,d\n"), vec!["a,b", "c,d"]);
-        assert_eq!(split_records("a,b"), vec!["a,b"]);
+        assert_eq!(split_records_offsets("a,b\nc,d\n"), vec![(0, "a,b"), (4, "c,d")]);
+        assert_eq!(split_records_offsets("a,b"), vec![(0, "a,b")]);
     }
 
     #[test]
     fn split_handles_crlf() {
-        assert_eq!(split_records("a\r\nb\r\n"), vec!["a", "b"]);
+        assert_eq!(split_records_offsets("a\r\nb\r\n"), vec![(0, "a"), (3, "b")]);
     }
 
     #[test]
     fn split_respects_quoted_newlines() {
-        let recs = split_records("a,\"x\ny\"\nb,c\n");
-        assert_eq!(recs, vec!["a,\"x\ny\"", "b,c"]);
+        let recs = split_records_offsets("a,\"x\ny\"\nb,c\n");
+        assert_eq!(recs, vec![(0, "a,\"x\ny\""), (8, "b,c")]);
     }
 
     #[test]

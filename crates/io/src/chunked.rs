@@ -11,16 +11,16 @@
 //!
 //! * The **boundary scan** streams the source once through the
 //!   quote-aware [`BoundaryScanner`], producing `~chunk_bytes` spans
-//!   that end on record boundaries, and captures the leading records as
-//!   the type-inference sample — the *same* first `infer_rows` records
-//!   the sequential reader samples, which is what makes the final frame
+//!   that end on record boundaries, and marks where the leading
+//!   type-inference sample ends — the *same* first `infer_rows` records
+//!   `read_csv_str` samples, which is what makes the final frame
 //!   independent of the chunking.
 //! * **Chunk tasks** run on the shared worker pool via
 //!   [`eda_taskgraph::ingest`]: each reads its own byte range
-//!   (positional `pread`, an mmap subslice, or an in-memory subslice —
-//!   never a shared cursor), validates UTF-8, and parses to typed
-//!   columns with the sequential reader's two-pass algorithm. Raw field
-//!   strings live only for one chunk, so peak staging memory is
+//!   (positional `pread` or an in-memory subslice — never a shared
+//!   cursor), validates UTF-8, and parses to typed columns with
+//!   [`parse_chunk`], the workspace's one CSV parser. Raw field strings
+//!   live only for one chunk, so peak staging memory is
 //!   O(chunk × workers), not O(file).
 //! * The **fold** joins per-chunk schemas under the widening lattice,
 //!   promotes i64 chunks to f64 numerically (bit-identical to
@@ -28,9 +28,8 @@
 //!   `Str` ("widening repair" — exact raw spellings recovered from the
 //!   source), and concatenates in chunk-index order.
 //!
-//! `chunk_bytes = 0` bypasses all of this and runs today's sequential
-//! single-pass reader — bit-for-bit, matching the governance
-//! "bit-identical when off" convention.
+//! A file that fits one chunk takes the same path as one of many
+//! chunks: one scan, one parse task, a fold over one part.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -39,7 +38,7 @@ use eda_dataframe::csv::chunk::{
     self, cast_int_to_float, global_schema, needs_text_repair, parse_chunk, sample_schema,
     BoundaryScanner, ChunkSpec, ParsedChunk,
 };
-use eda_dataframe::csv::{read_csv_str, utf8_error, CsvOptions};
+use eda_dataframe::csv::{utf8_error, CsvOptions};
 use eda_dataframe::{Column, DataFrame, DataType, Error, Result};
 use eda_taskgraph::cache::PayloadSizer;
 use eda_taskgraph::ingest::run_chunk_tasks;
@@ -55,17 +54,12 @@ const SCAN_BLOCK_BYTES: usize = 256 * 1024;
 /// boundary by the pool scheduler.
 #[derive(Clone)]
 pub struct IngestOptions {
-    /// CSV dialect and inference options (shared with the sequential
-    /// reader).
+    /// CSV dialect and inference options (shared with `read_csv_str`).
     pub csv: CsvOptions,
-    /// Target chunk size in bytes (`engine.ingest_chunk_bytes`). `0`
-    /// runs the sequential single-pass reader, bit-for-bit.
+    /// Target chunk size in bytes (default 8 MiB; clamped to ≥ 1).
     pub chunk_bytes: usize,
     /// Worker threads for the parse pool (`engine.workers`).
     pub workers: usize,
-    /// Map files instead of buffered positional reads (`engine.mmap`);
-    /// ignored where unsupported.
-    pub mmap: bool,
     /// Scheduler options for the chunk tasks (cancellation, budgets,
     /// retries, tracing, metrics).
     pub exec: ExecOptions,
@@ -77,7 +71,6 @@ impl Default for IngestOptions {
             csv: CsvOptions::default(),
             chunk_bytes: 8 * 1024 * 1024,
             workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
-            mmap: false,
             exec: ExecOptions::default(),
         }
     }
@@ -91,80 +84,21 @@ pub(crate) struct Prepared {
     pub specs: Vec<ChunkSpec>,
 }
 
-/// Captures the leading records of the stream (header + up to
-/// `infer_rows` data records) during the boundary scan, cut on a record
-/// boundary so the capture always parses cleanly.
-struct SampleCapture {
-    buf: Vec<u8>,
-    records_needed: usize,
-    records_done: usize,
-    in_quotes: bool,
-    complete_len: usize,
-    done: bool,
-}
-
-impl SampleCapture {
-    fn new(records_needed: usize) -> Self {
-        SampleCapture {
-            buf: Vec::new(),
-            records_needed: records_needed.max(1),
-            records_done: 0,
-            in_quotes: false,
-            complete_len: 0,
-            done: false,
-        }
-    }
-
-    fn feed(&mut self, block: &[u8]) {
-        if self.done {
-            return;
-        }
-        for &b in block {
-            self.buf.push(b);
-            match b {
-                b'"' => self.in_quotes = !self.in_quotes,
-                b'\n' if !self.in_quotes => {
-                    self.records_done += 1;
-                    self.complete_len = self.buf.len();
-                    if self.records_done >= self.records_needed {
-                        self.done = true;
-                        return;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// The captured whole-record prefix. End-of-stream terminates a
-    /// trailing unterminated record.
-    fn finish(mut self, stream_len: u64) -> Vec<u8> {
-        if !self.done && self.buf.len() as u64 == stream_len {
-            self.complete_len = self.buf.len();
-        }
-        self.buf.truncate(self.complete_len);
-        self.buf
-    }
-}
-
-/// One sequential pass over the source: chunk specs + inference sample.
+/// One sequential pass over the source: chunk specs, then the schema
+/// sampled from the leading records the scan located.
 pub(crate) fn prepare(source: &ByteSource, opts: &IngestOptions) -> Result<Option<Prepared>> {
     if source.is_empty() {
         return Ok(None);
     }
-    let header_records = if opts.csv.has_header { 1 } else { 0 };
-    let mut scanner = BoundaryScanner::new(opts.chunk_bytes.max(1));
-    let mut capture = SampleCapture::new(header_records + opts.csv.infer_rows);
+    let mut scanner = BoundaryScanner::new(opts.chunk_bytes, &opts.csv);
     let mut specs = Vec::new();
-    source.scan_blocks(SCAN_BLOCK_BYTES, |block| {
-        capture.feed(block);
-        scanner.feed(block, &mut specs);
-    })?;
+    source.scan_blocks(SCAN_BLOCK_BYTES, |block| scanner.feed(block, &mut specs))?;
+    let sample_len = scanner.sample_len().unwrap_or(source.len());
     scanner.finish(&mut specs);
-    let sample_bytes = capture.finish(source.len());
-    let sample_text =
-        std::str::from_utf8(&sample_bytes).map_err(|e| utf8_error(&e, 0))?;
-    let (names, hint) = sample_schema(sample_text, &opts.csv)?;
+    let (names, hint) = source.with_chunk(0, sample_len as usize, |bytes| {
+        let text = std::str::from_utf8(bytes).map_err(|e| utf8_error(&e, 0))?;
+        sample_schema(text, &opts.csv)
+    })??;
     if names.is_empty() {
         return Ok(None);
     }
@@ -212,25 +146,15 @@ pub fn chunk_payload_sizer() -> PayloadSizer {
     })
 }
 
-/// Read a CSV file through the chunked parallel pipeline. With
-/// `chunk_bytes = 0` this is exactly the sequential single-pass reader.
+/// Read a CSV file through the chunked parallel pipeline.
 pub fn read_csv_chunked<P: AsRef<Path>>(path: P, opts: &IngestOptions) -> Result<DataFrame> {
-    if opts.chunk_bytes == 0 {
-        let bytes = std::fs::read(path)?;
-        let text =
-            std::str::from_utf8(&bytes).map_err(|e| utf8_error(&e, 0))?;
-        return read_csv_str(text, &opts.csv);
-    }
-    let source = ByteSource::open(path.as_ref(), opts.mmap)?;
+    let source = ByteSource::open(path.as_ref())?;
     ingest(Arc::new(source), opts)
 }
 
 /// Chunked ingestion over in-memory CSV text (copies the text once into
 /// the shared source buffer; chunk parsing then borrows subslices).
 pub fn read_csv_str_chunked(text: &str, opts: &IngestOptions) -> Result<DataFrame> {
-    if opts.chunk_bytes == 0 {
-        return read_csv_str(text, &opts.csv);
-    }
     let source = ByteSource::from_bytes(text.as_bytes().to_vec());
     ingest(Arc::new(source), opts)
 }
@@ -338,6 +262,7 @@ fn fold_chunks(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use eda_dataframe::csv::read_csv_str;
 
     fn tiny(chunk_bytes: usize) -> IngestOptions {
         IngestOptions { chunk_bytes, workers: 4, ..IngestOptions::default() }
@@ -363,7 +288,7 @@ mod tests {
     fn chunked_matches_sequential_simple() {
         let csv = "a,b,c\n1,x,true\n2,y,false\n3,z,\n4,w,true\n";
         let seq = read_csv_str(csv, &CsvOptions::default()).unwrap();
-        for chunk_bytes in [1, 7, 13, 64, 1 << 20] {
+        for chunk_bytes in [1, 7, 13, 64, 1 << 20, usize::MAX] {
             let par = read_csv_str_chunked(csv, &tiny(chunk_bytes)).unwrap();
             assert_frames_identical(&seq, &par);
         }
@@ -385,7 +310,7 @@ mod tests {
         let seq = read_csv_str(&csv, &CsvOptions::default()).unwrap();
         assert_eq!(seq.column("n").unwrap().dtype(), DataType::Float64);
         assert_eq!(seq.column("s").unwrap().dtype(), DataType::Str);
-        for chunk_bytes in [8, 32, 100, 1 << 20] {
+        for chunk_bytes in [8, 32, 100, 1 << 20, usize::MAX] {
             let par = read_csv_str_chunked(&csv, &tiny(chunk_bytes)).unwrap();
             assert_frames_identical(&seq, &par);
         }
@@ -397,7 +322,7 @@ mod tests {
         // widens the column to Str, and the raw spellings must survive.
         let csv = "v\n07\n 8 \n1.50\noops\n";
         let seq = read_csv_str(csv, &CsvOptions::default()).unwrap();
-        for chunk_bytes in [1, 4, 6, 1 << 20] {
+        for chunk_bytes in [1, 4, 6, 1 << 20, usize::MAX] {
             let par = read_csv_str_chunked(csv, &tiny(chunk_bytes)).unwrap();
             assert_frames_identical(&seq, &par);
             let vals = par.column("v").unwrap().str_values().unwrap().to_vec();
@@ -432,14 +357,6 @@ mod tests {
             &read_csv_str("a,b\n", &CsvOptions::default()).unwrap(),
             &header_only,
         );
-    }
-
-    #[test]
-    fn zero_chunk_bytes_is_sequential_golden() {
-        let csv = "a,b\n1,x\n2.5,\"y,z\"\n";
-        let seq = read_csv_str(csv, &CsvOptions::default()).unwrap();
-        let off = read_csv_str_chunked(csv, &tiny(0)).unwrap();
-        assert_frames_identical(&seq, &off);
     }
 
     #[test]

@@ -49,10 +49,8 @@ where
     P: AsRef<Path>,
     F: FnMut(DataFrame) -> Result<()>,
 {
-    let source = Arc::new(ByteSource::open(path.as_ref(), opts.mmap)?);
-    let chunk_bytes = if opts.chunk_bytes == 0 { 8 * 1024 * 1024 } else { opts.chunk_bytes };
-    let scan_opts = IngestOptions { chunk_bytes, ..opts.clone() };
-    let Some(Prepared { names, hint, specs }) = prepare(&source, &scan_opts)? else {
+    let source = Arc::new(ByteSource::open(path.as_ref())?);
+    let Some(Prepared { names, hint, specs }) = prepare(&source, opts)? else {
         return Ok(FoldOutcome { rows: 0, chunks: 0, waves: WaveStats::default() });
     };
 

@@ -1,7 +1,7 @@
-//! Golden test: `chunk_bytes = 0` routes through the sequential
-//! single-pass reader and reproduces it bit-for-bit — the ingestion
-//! counterpart of the workspace's "bit-identical when off" convention
-//! for every accelerator knob.
+//! Golden test: the chunked reader reproduces `read_csv` /
+//! `read_csv_str` bit-for-bit. `chunk_bytes = 0` is not special: the
+//! boundary scanner clamps it to one byte, so every record becomes its
+//! own chunk — the most adversarial chunking.
 
 // Test code asserts freely; the package-level unwrap/expect deny
 // targets shipped code.

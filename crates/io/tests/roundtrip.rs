@@ -1,6 +1,6 @@
 //! Chunking-invariance property tests: any valid CSV — embedded
 //! newlines, quotes, CRLF endings, nulls, mixed types — parses to a
-//! bit-identical frame through the sequential reader, the 1-chunk
+//! bit-identical frame through `read_csv_str`, the whole-file-as-one-chunk
 //! pipeline, and the k-chunk pipeline at *any* chunk size.
 //!
 //! The property deliberately compares readers over the *same* text
@@ -92,9 +92,8 @@ proptest! {
         workers in 1usize..5,
     ) {
         let seq = read_csv_str(&csv, &CsvOptions::default()).unwrap();
-        // One chunk large enough to hold everything: the degenerate
-        // parallel case.
-        let one = read_csv_str_chunked(&csv, &opts(1 << 24, workers)).unwrap();
+        // The whole file as one chunk: the degenerate parallel case.
+        let one = read_csv_str_chunked(&csv, &opts(usize::MAX, workers)).unwrap();
         assert_bit_identical(&seq, &one, "1-chunk");
         // Many chunks at an adversarial size (down to 1 byte: every
         // record its own chunk).

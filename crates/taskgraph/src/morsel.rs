@@ -19,10 +19,9 @@
 //!   [`ExecOptions::morsel_bytes`](crate::scheduler::ExecOptions::morsel_bytes)
 //!   and the pool's shared [`HelperBudget`]; the budget tracks how many
 //!   workers are parked on the empty ready queue,
-//! * kernels call [`run_rows`] around their hot loops; it returns `None`
-//!   when morsels are disabled (`morsel_bytes == 0`, or the range fits a
-//!   single morsel) so the caller falls back to its legacy whole-slice
-//!   path — bit-identical to pre-morsel behaviour.
+//! * kernels call [`run_rows`] around their hot loops with one morsel
+//!   body; when morsels are disabled (`morsel_bytes == 0`) or the range
+//!   fits a single morsel it runs that body over the whole range inline.
 //!
 //! Helpers are **elastic**: the owner re-checks the budget at every
 //! morsel boundary and spawns another helper the moment a pool worker
@@ -272,9 +271,9 @@ pub fn engaged_bytes() -> usize {
 /// Run `map` over `0..nrows` split into cache-sized morsels, folding the
 /// per-morsel results with `fold` **in morsel-index order**.
 ///
-/// Returns `None` — telling the caller to run its legacy whole-slice
-/// path — when no morsel context is engaged, `morsel_bytes` is zero, or
-/// the whole range fits in one morsel. Otherwise the calling thread
+/// When no morsel context is engaged, `morsel_bytes` is zero, or the
+/// whole range fits in one morsel, this is just `map(0..nrows)` on the
+/// calling thread. Otherwise the calling thread
 /// drains morsels from the front of a [`StealDeque`] while elastically
 /// spawning scoped helper threads (one per idle pool worker, re-checked
 /// at every morsel boundary) that steal from the back. Helpers inherit
@@ -285,16 +284,18 @@ pub fn engaged_bytes() -> usize {
 /// Determinism: the fold order is the morsel index order, fixed by
 /// `nrows` and `morsel_bytes` alone — worker count, helper count, and
 /// steal interleavings cannot change the merged result.
-pub fn run_rows<T, M, F>(nrows: usize, row_bytes: usize, map: M, mut fold: F) -> Option<T>
+pub fn run_rows<T, M, F>(nrows: usize, row_bytes: usize, map: M, mut fold: F) -> T
 where
     T: Send + Sync,
     M: Fn(Range<usize>) -> T + Sync,
     F: FnMut(T, T) -> T,
 {
-    let ctx = CTX.with(|c| c.borrow().clone())?;
+    let Some(ctx) = CTX.with(|c| c.borrow().clone()) else {
+        return map(0..nrows);
+    };
     let per = morsel_rows(row_bytes, ctx.morsel_bytes);
-    if per >= nrows || nrows == 0 {
-        return None;
+    if per >= nrows {
+        return map(0..nrows);
     }
     let nm = nrows.div_ceil(per);
     let deque = StealDeque::new(nm);
@@ -357,7 +358,8 @@ where
 
     // Deterministic index-order fold. Under cancellation some slots may
     // be empty; the partial fold is discarded upstream, so skipping the
-    // holes (rather than erroring) keeps this path panic-free.
+    // holes (rather than erroring) keeps this path panic-free, and a
+    // stage cancelled before its first morsel returns `map` of no rows.
     let mut acc: Option<T> = None;
     // eda-lint: allow(EDA-L6) folds one already-computed partial per morsel
     for cell in results {
@@ -368,7 +370,7 @@ where
             });
         }
     }
-    acc
+    acc.unwrap_or_else(|| map(0..0))
 }
 
 #[cfg(test)]
@@ -423,37 +425,38 @@ mod tests {
         assert_eq!(total.load(Ordering::Relaxed), 1000);
     }
 
+    /// A fold that records every range it folds, to tell an inline
+    /// `map(0..n)` from a split.
+    fn ranges(nrows: usize) -> Vec<Range<usize>> {
+        run_rows(nrows, 8, |r| vec![r], |mut a: Vec<Range<usize>>, b| {
+            a.extend(b);
+            a
+        })
+    }
+
     #[test]
     fn run_rows_disabled_without_context() {
-        assert_eq!(run_rows(1_000_000, 8, |r| r.len(), |a, b| a + b), None);
+        assert_eq!(ranges(1_000_000), vec![0..1_000_000]);
     }
 
     #[test]
     fn run_rows_disabled_at_zero_bytes() {
         let _g = engage(0, None);
-        assert_eq!(run_rows(1_000_000, 8, |r| r.len(), |a, b| a + b), None);
+        assert_eq!(ranges(1_000_000), vec![0..1_000_000]);
     }
 
     #[test]
-    fn run_rows_single_morsel_falls_back() {
+    fn run_rows_single_morsel_runs_inline() {
         let _g = engage(DEFAULT_MORSEL_BYTES, None);
-        // 100 rows of 8 bytes fit one morsel: caller keeps legacy path.
-        assert_eq!(run_rows(100, 8, |r| r.len(), |a, b| a + b), None);
+        // 100 rows of 8 bytes fit one morsel: one inline call.
+        assert_eq!(ranges(100), vec![0..100]);
+        assert_eq!(ranges(0), vec![0..0]);
     }
 
     #[test]
     fn run_rows_covers_every_row_in_order() {
         let _g = engage(1024, None); // 128 rows/morsel at 8 B/row
-        let got = run_rows(
-            10_000,
-            8,
-            |r| vec![r],
-            |mut a: Vec<Range<usize>>, b| {
-                a.extend(b);
-                a
-            },
-        )
-        .expect("morsel path engaged");
+        let got = ranges(10_000);
         assert_eq!(got.len(), 10_000usize.div_ceil(128));
         assert_eq!(got.first().map(|r| r.start), Some(0));
         assert_eq!(got.last().map(|r| r.end), Some(10_000));
@@ -471,8 +474,7 @@ mod tests {
             8,
             |r| r.map(|i| i as u64).sum::<u64>(),
             |a: u64, b| a + b,
-        )
-        .expect("morsel path engaged");
+        );
         assert_eq!(got, (0..n as u64).sum::<u64>());
     }
 
@@ -489,8 +491,7 @@ mod tests {
             8,
             |r| r.map(|i| i as u64).sum::<u64>(),
             |a: u64, b| a + b,
-        )
-        .expect("morsel path engaged");
+        );
         assert_eq!(got, (0..n as u64).sum::<u64>());
         // Helpers released their permits on exit.
         assert_eq!(budget.idle_now(), 3);

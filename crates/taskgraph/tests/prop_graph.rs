@@ -131,7 +131,7 @@ proptest! {
         // so a morsel-split fold equals the whole-partition fold for
         // every mergeable accumulator, not just commutative ones.
         let _ctx = morsel::engage(morsel_bytes, None);
-        let ranges = morsel::run_rows(
+        let rs = morsel::run_rows(
             nrows,
             row_bytes,
             |r| vec![r],
@@ -140,23 +140,20 @@ proptest! {
                 a
             },
         );
-        match ranges {
-            // Declined: no splitting configured or the range fits in one
-            // morsel — the caller keeps its legacy whole-slice path.
-            None => {
-                let per = morsel::morsel_rows(row_bytes, morsel_bytes);
-                prop_assert!(morsel_bytes == 0 || per >= nrows || nrows == 0);
+        if morsel::morsel_rows(row_bytes, morsel_bytes) >= nrows {
+            // No splitting configured (0 bytes means unbounded morsels)
+            // or the range fits in one morsel: one inline call over the
+            // whole range.
+            prop_assert_eq!(rs, vec![0..nrows]);
+        } else {
+            prop_assert!(rs.len() > 1);
+            let mut next = 0usize;
+            for r in &rs {
+                prop_assert_eq!(r.start, next);
+                prop_assert!(r.end > r.start);
+                next = r.end;
             }
-            Some(rs) => {
-                prop_assert!(rs.len() > 1);
-                let mut next = 0usize;
-                for r in &rs {
-                    prop_assert_eq!(r.start, next);
-                    prop_assert!(r.end > r.start);
-                    next = r.end;
-                }
-                prop_assert_eq!(next, nrows);
-            }
+            prop_assert_eq!(next, nrows);
         }
     }
 }
